@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-smoke bench-json bench-compare chaos serve-smoke overload-smoke metrics-smoke diff-smoke fuzz-smoke lint-metrics ci
+.PHONY: all build vet test race bench bench-smoke bench-json bench-compare bench-harness-check chaos serve-smoke overload-smoke metrics-smoke diff-smoke fuzz-smoke lint-metrics ci
 
 all: build
 
@@ -30,7 +30,7 @@ bench-smoke:
 # real benchtime and record name → ns/op, allocs/op, matches/sec as JSON
 # so regressions are diffable across PRs.
 bench-json:
-	$(GO) test -bench 'BenchmarkEngine|BenchmarkProfile|BenchmarkAblationUnifiedIndex|BenchmarkAblationKeywordIndex|BenchmarkAblationInstrumentation|BenchmarkAblationFingerprint|BenchmarkAblationDomainTrie|BenchmarkDecisionCache|BenchmarkSnapshot' \
+	$(GO) test -bench 'BenchmarkEngine|BenchmarkProfile|BenchmarkAblationUnifiedIndex|BenchmarkAblationKeywordIndex|BenchmarkAblationInstrumentation|BenchmarkAblationFingerprint|BenchmarkAblationDomainTrie|BenchmarkDecisionCache|BenchmarkSnapshot|BenchmarkNewRequest|BenchmarkRequestIndexSide|BenchmarkServeBatchHit' \
 		-benchtime 1s -benchmem -run '^$$' . \
 		| $(GO) run ./cmd/aa-benchjson > BENCH_engine.json
 	@echo wrote BENCH_engine.json
@@ -45,6 +45,14 @@ bench-compare:
 		-benchtime 1s -benchmem -run '^$$' . \
 		| $(GO) run ./cmd/aa-benchjson > /tmp/aa-bench-new.json
 	$(GO) run ./cmd/aa-benchjson -compare BENCH_engine.json /tmp/aa-bench-new.json
+
+# The service benchmark under bench/ is a module of its own, so the root
+# build never compiles it and an internal API drift would only surface as
+# a failed benchmark run. Vet, build and test it here (its tests start no
+# child process). The binary is discarded: building the module's one main
+# package in place would try to write "aa-bench" over its own directory.
+bench-harness-check:
+	cd bench && $(GO) vet ./... && $(GO) build -o /dev/null ./... && $(GO) test ./...
 
 # A small survey under the race detector with 20% fault injection: the
 # crawl must complete with partial results and report per-class fault,
@@ -88,13 +96,18 @@ diff-smoke:
 	$(GO) test -race -run 'TestProfileDiffSmoke|TestUnknownProfileIs400|TestParseProfiles' \
 		-count=1 -v ./cmd/aa-serve
 
-# A short snapshot-decoder fuzz run: truncated, bit-flipped and
+# Two short fuzz runs. Snapshot decoder: truncated, bit-flipped and
 # version-skewed snapshot bytes must produce errors, never a panic or a
-# half-built engine. The committed corpus seeds cover each section; ten
+# half-built engine; the committed corpus seeds cover each section and ten
 # seconds of mutation on top catches format-change regressions cheaply.
+# Request validation: NewRequest's parse-free recogniser may only accept
+# what url.Parse accepts with a host, and NewRequest's accept/reject set
+# must equal the parse rule on every input.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 10s \
 		./internal/engine/snapbin
+	$(GO) test -run '^$$' -fuzz FuzzNewRequestValidation -fuzztime 10s \
+		./internal/engine
 
 # Metric-name hygiene: every metric registered in obs.Registry must be
 # lowercase dot.separated and unique across the tree.
@@ -103,6 +116,7 @@ lint-metrics:
 
 # The pre-merge gate: static checks, a clean build, the full suite under
 # the race detector, a smoke pass over every benchmark plus the hot-path
-# allocation smoke, the perf gate against the committed baseline, a short
-# snapshot-decoder fuzz run, and the chaos and decision-service smoke runs.
-ci: vet lint-metrics build race bench bench-smoke bench-compare fuzz-smoke chaos serve-smoke overload-smoke metrics-smoke diff-smoke
+# allocation smoke, the perf gate against the committed baseline, the
+# benchmark harness module's own vet/build/test, two short fuzz runs, and
+# the chaos and decision-service smoke runs.
+ci: vet lint-metrics build race bench bench-smoke bench-compare bench-harness-check fuzz-smoke chaos serve-smoke overload-smoke metrics-smoke diff-smoke

@@ -11,7 +11,12 @@
 package bench
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"regexp"
 	"runtime"
 	"strings"
@@ -20,6 +25,7 @@ import (
 
 	"acceptableads/internal/alexa"
 	"acceptableads/internal/decision"
+	"acceptableads/internal/decision/api"
 	"acceptableads/internal/easylist"
 	"acceptableads/internal/engine"
 	"acceptableads/internal/engine/snapbin"
@@ -289,8 +295,9 @@ func benchRequests() []*engine.Request {
 	}
 }
 
-// prepareAll runs every request through prepare (via one warm-up match)
-// so benchmark iterations measure matching, not the one-time derivations.
+// prepareAll runs every request through one warm-up match, which derives
+// its index side, so benchmark iterations measure matching, not the
+// one-time derivation.
 // It ends with an explicit collection: setup (engine build, fixture
 // generation on the first benchmark of the process) leaves a heap full
 // of pending garbage, and without the GC the first benchmark measured
@@ -949,4 +956,121 @@ func BenchmarkDecisionCacheOnParallel(b *testing.B) {
 		}
 	})
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "matches/sec")
+}
+
+// ---- serve layers: request preparation and the resident-batch hit path -----
+
+// corpusBatch renders a page visit the way the service benchmark's crawl
+// corpus does: n sub-resource tuples of one document, first-party and CDN
+// hosts, lower-case URLs of 60–200 characters with versioned paths,
+// content hashes and hex-laden query strings — the shape whose preparation
+// cost the hand-picked benchRequests (short URLs) understate.
+func corpusBatch(n int) api.BatchRequest {
+	rng := xrand.New(2015)
+	hosts := []string{
+		"www.dailyplanet-news.com", "static.dailyplanet-news.com", "img.dailyplanet-news.com",
+		"static.cloudedge.io", "images.photocache.net", "cdn.jsmirror.net", "fonts.typeface-cdn.com",
+	}
+	dirs := []string{"static/js", "static/css", "images/2015/04", "wp-content/uploads/2015/04", "resources/v3", "public/cache"}
+	names := []string{"main", "vendor", "bundle", "jquery.min", "bootstrap.min", "carousel", "lazyload", "sprite"}
+	exts := []struct{ ext, typ string }{{".js", "script"}, {".css", "stylesheet"}, {".jpg", "image"}, {".png", "image"}, {".woff", "other"}}
+	hex := func(b *strings.Builder, n int) {
+		for i := 0; i < n; i++ {
+			b.WriteByte("0123456789abcdef"[rng.Intn(16)])
+		}
+	}
+	q := api.BatchRequest{Requests: make([]api.MatchRequest, n)}
+	for i := range q.Requests {
+		var b strings.Builder
+		e := exts[rng.Intn(len(exts))]
+		fmt.Fprintf(&b, "https://%s/%s/v%d.%d.%d/%s-", hosts[rng.Intn(len(hosts))], dirs[rng.Intn(len(dirs))],
+			1+rng.Intn(12), rng.Intn(20), rng.Intn(10), names[rng.Intn(len(names))])
+		hex(&b, 8+4*rng.Intn(3))
+		fmt.Fprintf(&b, "%s?v=201504%02d", e.ext, 1+rng.Intn(28))
+		if rng.Intn(3) == 0 {
+			for k := 1 + rng.Intn(4); k > 0; k-- {
+				fmt.Fprintf(&b, "&%s=", names[rng.Intn(len(names))])
+				hex(&b, 12+rng.Intn(12))
+			}
+		}
+		q.Requests[i] = api.MatchRequest{URL: b.String(), Document: "https://www.dailyplanet-news.com/", Type: e.typ}
+	}
+	return q
+}
+
+// Typed sinks: storing into an interface would box (and allocate).
+var (
+	benchSinkReq   *engine.Request
+	benchSinkLower string
+)
+
+// BenchmarkNewRequest is the key side alone: validation, document host
+// and the third-party bit — all a request that hits the decision cache
+// ever pays.
+func BenchmarkNewRequest(b *testing.B) {
+	q := corpusBatch(64).Requests
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t := &q[i%len(q)]
+		req, err := engine.NewRequest(t.URL, t.Document, filter.TypeScript)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSinkReq = req
+	}
+}
+
+// BenchmarkRequestIndexSide is the derivation the first evaluation of a
+// request adds on top of NewRequest: lowered URL, keyword hashes, '||'
+// boundaries, host keys and the 4-gram bloom, in one allocation. Each
+// iteration re-points one request at the next corpus URL, which
+// invalidates what was derived for the previous one, so the loop times a
+// fresh derivation (third-party bit included) without a constructor call.
+func BenchmarkRequestIndexSide(b *testing.B) {
+	q := corpusBatch(64).Requests
+	req, err := engine.NewRequest(q[0].URL, q[0].Document, filter.TypeScript)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req.URL = q[i%len(q)].URL
+		benchSinkLower = req.LowerURL()
+	}
+}
+
+// BenchmarkServeBatchHit is the first slice of the serve-layer benchmark:
+// Handler.ServeHTTP end to end on one resident 64-tuple batch — JSON
+// decode, 64 request preparations, 64 cache hits, JSON encode — with no
+// socket in the way. It is page_hot's handler cost per call.
+func BenchmarkServeBatchHit(b *testing.B) {
+	svc := benchDecisionService(b, 1<<16)
+	h := decision.Handler(svc, decision.HandlerConfig{})
+	q := corpusBatch(64)
+	body, err := json.Marshal(q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	serve := func() *httptest.ResponseRecorder {
+		rr := httptest.NewRecorder()
+		req, err := http.NewRequest(http.MethodPost, "/v1/match-batch", bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		h.ServeHTTP(rr, req)
+		return rr
+	}
+	serve() // fills the cache
+	var out api.BatchResponse
+	if rr := serve(); rr.Code != http.StatusOK || json.Unmarshal(rr.Body.Bytes(), &out) != nil || out.Cached != len(q.Requests) {
+		b.Fatalf("warm batch: status %d, %d of %d cached", rr.Code, out.Cached, len(q.Requests))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(q.Requests)), "ns/decision")
 }

@@ -165,9 +165,10 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-// keyHash folds a prepared request's cache-key fields into one 64-bit
-// FNV-1a hash — the map key and the shard selector — without assembling
-// any intermediate string. The document host is ASCII-lowered byte by
+// keyHash folds a request's key side (URL, type, document host and the
+// third-party bit — it reads nothing else, so a lookup never derives the
+// request's index side) into one 64-bit FNV-1a hash — the map key and the
+// shard selector — without assembling any intermediate string. The document host is ASCII-lowered byte by
 // byte as it is hashed, matching hostFoldEqual; field boundaries are
 // marked with a 0xFF byte (which cannot appear in a host and keeps URL
 // and host bytes from sliding across fields).

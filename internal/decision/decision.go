@@ -451,8 +451,7 @@ func (s *Service) MatchProfile(req *engine.Request, profile string) (engine.Deci
 	if err != nil {
 		return engine.Decision{}, false, err
 	}
-	s.matches.Inc()
-	s.profileHit(view.Name())
+	s.countMatches(view.Name(), 1)
 	if s.cache == nil || req.Sitekey != "" {
 		return s.safeMatch(snap, view, req), false, nil
 	}
@@ -482,22 +481,33 @@ func (s *Service) MatchCached(req *engine.Request, profile string) (engine.Decis
 	}
 	d, ok := s.cache.Get(snap.Version, pid, req)
 	if ok {
-		s.matches.Inc()
-		s.profileHit(view.Name())
+		s.countMatches(view.Name(), 1)
 	}
 	return d, ok
 }
 
-// profileHit bumps the per-profile request counter, creating it on first
-// use. The counter map only ever grows by known profile names, so its
-// cardinality is bounded by the configured profile set.
-func (s *Service) profileHit(name string) {
-	if c, ok := s.profileReqs.Load(name); ok {
-		c.(*obs.Counter).Inc()
+// profileHit bumps the per-profile request counter.
+func (s *Service) profileHit(name string) { s.profileCounter(name).Inc() }
+
+// countMatches books n decisions made under one profile — a batch's
+// bookkeeping in one add per counter instead of one per decision.
+func (s *Service) countMatches(profile string, n int) {
+	if n == 0 {
 		return
 	}
+	s.matches.Add(int64(n))
+	s.profileCounter(profile).Add(int64(n))
+}
+
+// profileCounter returns the profile's request counter, creating it on
+// first use. The counter map only ever grows by known profile names, so
+// its cardinality is bounded by the configured profile set.
+func (s *Service) profileCounter(name string) *obs.Counter {
+	if c, ok := s.profileReqs.Load(name); ok {
+		return c.(*obs.Counter)
+	}
 	c, _ := s.profileReqs.LoadOrStore(name, &obs.Counter{})
-	c.(*obs.Counter).Inc()
+	return c.(*obs.Counter)
 }
 
 // maxQuarantineRetries bounds how many quarantine-and-retry rounds one
@@ -600,11 +610,10 @@ func (s *Service) MatchBatchProfile(ctx context.Context, reqs []*engine.Request,
 	for i, req := range reqs {
 		if i&63 == 0 {
 			if err := ctx.Err(); err != nil {
+				s.countMatches(view.Name(), i)
 				return nil, nil, snap, view.Name(), err
 			}
 		}
-		s.matches.Inc()
-		s.profileHit(view.Name())
 		if s.cache == nil || req.Sitekey != "" {
 			out[i] = s.safeMatch(snap, view, req)
 			continue
@@ -616,6 +625,7 @@ func (s *Service) MatchBatchProfile(ctx context.Context, reqs []*engine.Request,
 		out[i] = s.safeMatch(snap, view, req)
 		s.cache.Put(snap.Version, pid, req, out[i])
 	}
+	s.countMatches(view.Name(), len(reqs))
 	return out, cached, snap, view.Name(), nil
 }
 
@@ -853,6 +863,9 @@ func (s *Service) publish(eng *engine.Engine, infos []ListInfo, builtAt time.Tim
 	if decorate != nil {
 		decorate(next)
 	}
+	// Engine telemetry joins the service's registry before the snapshot
+	// can be matched against (nil Obs leaves it off).
+	eng.SetMetrics(s.cfg.Obs)
 	s.cur.Store(next)
 	if s.cache != nil {
 		s.cache.Purge()

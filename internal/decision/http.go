@@ -3,7 +3,9 @@ package decision
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"runtime/debug"
@@ -481,9 +483,7 @@ func (s *Service) handleRollback(ctx context.Context, w http.ResponseWriter, r *
 // as good an answer and keeps the fallback allocation-light.
 func (s *Service) matchCacheOnly(ctx context.Context, w http.ResponseWriter, r *http.Request) bool {
 	var q api.MatchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&q); err != nil {
+	if decodeBody(w, r, &q) != nil {
 		return false
 	}
 	req, err := toEngineRequest(q.URL, q.Document, q.Type, q.Sitekey)
@@ -534,10 +534,24 @@ func (s *Service) handleReadyz(w http.ResponseWriter, r *http.Request) {
 
 // ---- plumbing --------------------------------------------------------------
 
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+// decodeBody decodes the request body as exactly one JSON value: unknown
+// fields are rejected, and so is anything but whitespace after the value
+// (Decode alone stops at the end of the first value, so a second object
+// or trailing junk would otherwise be served as if well-formed).
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
+}
+
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	if err := decodeBody(w, r, v); err != nil {
 		httpError(w, http.StatusBadRequest, "malformed JSON body: "+err.Error())
 		return false
 	}

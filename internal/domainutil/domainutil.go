@@ -55,22 +55,25 @@ func Normalize(host string) string {
 // domain") of host: the public suffix plus one label. For example,
 // maps.google.com yields google.com and www.google.co.uk yields google.co.uk.
 // If host is itself a public suffix, or has a single label, host is returned
-// unchanged. The input is normalized first.
+// unchanged. The input is normalized first; the result is a substring of
+// the normalized host, so the call allocates only when Normalize does (a
+// host with upper-case bytes).
 func Registrable(host string) string {
 	host = Normalize(host)
-	labels := strings.Split(host, ".")
-	if len(labels) <= 2 {
+	last := strings.LastIndexByte(host, '.')
+	if last < 0 {
 		return host
 	}
-	// Check for a two-label public suffix: take last two labels.
-	suffix2 := labels[len(labels)-2] + "." + labels[len(labels)-1]
-	if multiLabelSuffixes[suffix2] {
-		if len(labels) == 3 {
-			return host
-		}
-		return labels[len(labels)-3] + "." + suffix2
+	second := strings.LastIndexByte(host[:last], '.')
+	if second < 0 {
+		return host
 	}
-	return suffix2
+	if !multiLabelSuffixes[host[second+1:]] {
+		return host[second+1:]
+	}
+	// Two-label public suffix: the registrable domain needs a third label.
+	third := strings.LastIndexByte(host[:second], '.')
+	return host[third+1:]
 }
 
 // IsSubdomainOf reports whether host equals domain or is a subdomain of it.

@@ -172,3 +172,56 @@ func TestQuickThirdPartySymmetric(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// registrableSplit is the Split-and-concatenate implementation Registrable
+// replaced, kept as the reference the substring walk is checked against.
+func registrableSplit(host string) string {
+	host = Normalize(host)
+	labels := strings.Split(host, ".")
+	if len(labels) <= 2 {
+		return host
+	}
+	suffix2 := labels[len(labels)-2] + "." + labels[len(labels)-1]
+	if multiLabelSuffixes[suffix2] {
+		if len(labels) == 3 {
+			return host
+		}
+		return labels[len(labels)-3] + "." + suffix2
+	}
+	return suffix2
+}
+
+// Property: the allocation-free Registrable agrees with the Split-based
+// reference on arbitrary hosts — empty labels, leading and trailing dots,
+// upper case, surrounding space and multi-label public suffixes included.
+func TestRegistrableMatchesSplitReference(t *testing.T) {
+	pieces := []string{"", "a", "www", "Google", "co", "uk", "com", "au", "x-1", " ", "."}
+	prop := func(picks []uint8, trailingDot bool) bool {
+		if len(picks) > 7 {
+			picks = picks[:7]
+		}
+		labels := make([]string, len(picks))
+		for i, p := range picks {
+			labels[i] = pieces[int(p)%len(pieces)]
+		}
+		host := strings.Join(labels, ".")
+		if trailingDot {
+			host += "."
+		}
+		return Registrable(host) == registrableSplit(host)
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// IsThirdParty on already-lower-case hosts — what NewRequest's key side
+// feeds it — must not allocate.
+func TestIsThirdPartyZeroAlloc(t *testing.T) {
+	allocs := testing.AllocsPerRun(100, func() {
+		IsThirdParty("stats.g.doubleclick.net", "www.google.co.uk")
+	})
+	if allocs != 0 {
+		t.Errorf("IsThirdParty allocated %.1f times per call, want 0", allocs)
+	}
+}

@@ -25,19 +25,15 @@ type Request struct {
 	// only activate when this matches one of their keys.
 	Sitekey string
 
-	// Memoized derivations, computed once by prepare (eagerly in
-	// NewRequest, lazily on first match otherwise) and keyed on the
-	// URL/DocumentHost they were computed for.
-	lower    string
-	kwh      []uint64 // deduplicated keyword-run hashes, the index probes
-	bounds   []int    // '||' candidate start positions in the URL
-	hostKeys []string // '||' boundary → next-separator spans, the host-index probes
-	fp       [4]uint64 // 256-bit bloom over the lowered URL's 4-grams
-	gateReq  uint64    // party bit + $domain= bloom, the request side of gatePass
-	third    bool
-	memoURL  string
-	memoDoc  string
-	prepared bool
+	// Key side: the third-party bit, memoized on the URL and document
+	// host it was computed for. With the exported fields above it is all
+	// the decision cache reads. NewRequest fills it; see ThirdParty.
+	third          bool
+	keyURL, keyDoc string
+
+	// Index side: what an index walk reads, derived at the first
+	// evaluation and published as one immutable block; see index.
+	ix atomic.Pointer[indexSide]
 }
 
 // MatchOption tunes one MatchRequest or HideElements call. The default
@@ -207,10 +203,10 @@ type compiledRequest struct {
 
 // matches applies every per-filter gate: pattern, content type, party
 // relation, domain restriction, and sitekey restriction, reading the
-// request's memoized derivations (lowered URL, third-party bit, domain
-// boundaries) — identical for every candidate filter, so they are
-// computed once per request, not once per candidate.
-func (c *compiledRequest) matches(req *Request) bool {
+// request's index side (lowered URL, third-party bit, domain boundaries)
+// — identical for every candidate filter, so it is derived once per
+// request, not once per candidate.
+func (c *compiledRequest) matches(req *Request, ix *indexSide) bool {
 	// Containment gate: a quarantined filter is dead on every path (index,
 	// slow bucket, linear scan) with one relaxed atomic load; a poisoned
 	// one panics here — the chaos hook behind the serving layer's
@@ -225,10 +221,10 @@ func (c *compiledRequest) matches(req *Request) bool {
 		return false
 	}
 	if c.f.ThirdParty != filter.Unset {
-		if c.f.ThirdParty == filter.Yes && !req.third {
+		if c.f.ThirdParty == filter.Yes && !ix.third {
 			return false
 		}
-		if c.f.ThirdParty == filter.No && req.third {
+		if c.f.ThirdParty == filter.No && ix.third {
 			return false
 		}
 	}
@@ -247,7 +243,7 @@ func (c *compiledRequest) matches(req *Request) bool {
 			return false
 		}
 	}
-	return c.pat.match(req.URL, req.lower, req.bounds)
+	return c.pat.match(req.URL, ix.lower, ix.bounds)
 }
 
 // role tags a compiled request filter with the side it matches for. The
@@ -500,7 +496,7 @@ func (idx *unifiedIndex) freeze() {
 // toward the minimum-id match per role. Segments are id-sorted, so the
 // scan of a role stops at the first entry that cannot beat the best match
 // already in hand.
-func (idx *unifiedIndex) scanBucket(b *bucket, req *Request, want uint8, mask uint64, res *[numRoles]*compiledRequest, best *[numRoles]uint32, tr *Trail) {
+func (idx *unifiedIndex) scanBucket(b *bucket, req *Request, ix *indexSide, want uint8, mask uint64, res *[numRoles]*compiledRequest, best *[numRoles]uint32, tr *Trail) {
 	for r := role(0); r < numRoles; r++ {
 		if want&(uint8(1)<<r) == 0 {
 			continue
@@ -514,13 +510,13 @@ func (idx *unifiedIndex) scanBucket(b *bucket, req *Request, want uint8, mask ui
 			if e.listBit&mask == 0 {
 				continue
 			}
-			if !gatePass(e.word, req) {
+			if !gatePass(e.word, req, ix) {
 				if tr != nil {
 					tr.GateRejected++
 				}
 				continue
 			}
-			ok := e.c.matches(req)
+			ok := e.c.matches(req, ix)
 			if tr != nil {
 				tr.candidate(e.c, r, ok, false)
 			}
@@ -536,17 +532,17 @@ func (idx *unifiedIndex) scanBucket(b *bucket, req *Request, want uint8, mask ui
 // resolve finds, for every role in want, the matching in-profile filter
 // with the lowest insertion id — identical to what a linear scan in list
 // order reports — by probing the keyword buckets of the request's
-// memoized keyword hashes, the host index along the request host's
-// suffix spans, and the slow bucket, all candidate rejection going
-// through the packed words first. tr, when non-nil, receives provenance
+// keyword hashes, the host index along the request host's suffix spans,
+// and the slow bucket, all candidate rejection going through the packed
+// words first. ix is the request's derived index side. tr, when non-nil, receives provenance
 // (explained matches only; the hot path passes nil and pays one
 // predictable branch per structure).
-func (idx *unifiedIndex) resolve(req *Request, want uint8, mask uint64, res *[numRoles]*compiledRequest, tr *Trail) {
+func (idx *unifiedIndex) resolve(req *Request, ix *indexSide, want uint8, mask uint64, res *[numRoles]*compiledRequest, tr *Trail) {
 	var best [numRoles]uint32
 	for r := range best {
 		best[r] = ^uint32(0)
 	}
-	for _, h := range req.kwh {
+	for _, h := range ix.kwh {
 		b := idx.byHash[h]
 		if b == nil {
 			continue
@@ -554,10 +550,10 @@ func (idx *unifiedIndex) resolve(req *Request, want uint8, mask uint64, res *[nu
 		if tr != nil {
 			tr.BucketsProbed++
 		}
-		idx.scanBucket(b, req, want, mask, res, &best, tr)
+		idx.scanBucket(b, req, ix, want, mask, res, &best, tr)
 	}
 	if len(idx.byHost) > 0 {
-		for _, key := range req.hostKeys {
+		for _, key := range ix.hostKeys {
 			b := idx.byHost[key]
 			if b == nil {
 				continue
@@ -565,7 +561,7 @@ func (idx *unifiedIndex) resolve(req *Request, want uint8, mask uint64, res *[nu
 			if tr != nil {
 				tr.HostBucketsProbed++
 			}
-			idx.scanBucket(b, req, want, mask, res, &best, tr)
+			idx.scanBucket(b, req, ix, want, mask, res, &best, tr)
 		}
 	}
 	for r := role(0); r < numRoles; r++ {
@@ -581,13 +577,13 @@ func (idx *unifiedIndex) resolve(req *Request, want uint8, mask uint64, res *[nu
 			if e.listBit&mask == 0 {
 				continue
 			}
-			if !gatePass(e.word, req) {
+			if !gatePass(e.word, req, ix) {
 				if tr != nil {
 					tr.GateRejected++
 				}
 				continue
 			}
-			ok := e.c.matches(req)
+			ok := e.c.matches(req, ix)
 			if tr != nil {
 				tr.SlowScanned++
 				tr.candidate(e.c, r, ok, true)
@@ -604,11 +600,12 @@ func (idx *unifiedIndex) resolve(req *Request, want uint8, mask uint64, res *[nu
 // findLinear scans every filter of the role without the keyword index —
 // the baseline for the index ablations.
 func (idx *unifiedIndex) findLinear(req *Request, r role, mask uint64, tr *Trail) *compiledRequest {
+	ix := req.index(nil)
 	for _, c := range idx.all[r] {
 		if c.listBit&mask == 0 {
 			continue
 		}
-		ok := c.matches(req)
+		ok := c.matches(req, ix)
 		if tr != nil {
 			tr.candidate(c, r, ok, false)
 		}

@@ -98,15 +98,15 @@ func domainBit(domain string) uint64 {
 	return 1 << (gateDomainShift + fnv64(domain)%gateDomainBits)
 }
 
-// gatePass runs the packed pre-filter word against a prepared request:
-// one AND per gate, no string work. req.Type and req.Sitekey are read
-// live (PagePermissions flips them after prepare); the party bit, domain
-// bloom and URL fingerprint come from the request's memos.
-func gatePass(w uint64, req *Request) bool {
+// gatePass runs the packed pre-filter word against a request: one AND per
+// gate, no string work. req.Type and req.Sitekey are read live
+// (PagePermissions flips them between probes); the party bit, domain
+// bloom and URL fingerprint come from the request's index side.
+func gatePass(w uint64, req *Request, ix *indexSide) bool {
 	if w&uint64(req.Type)&gateTypeMask == 0 {
 		return false
 	}
-	m := w & req.gateReq
+	m := w & ix.gateReq
 	if m&gatePartyMask == 0 || m&gateDomainMask == 0 {
 		return false
 	}
@@ -115,11 +115,11 @@ func gatePass(w uint64, req *Request) bool {
 	}
 	if w&gateHasFP != 0 {
 		a := (w >> gateFPAShift) & 0xFF
-		if req.fp[a>>6]&(1<<(a&63)) == 0 {
+		if ix.fp[a>>6]&(1<<(a&63)) == 0 {
 			return false
 		}
 		b := (w >> gateFPBShift) & 0xFF
-		if req.fp[b>>6]&(1<<(b&63)) == 0 {
+		if ix.fp[b>>6]&(1<<(b&63)) == 0 {
 			return false
 		}
 	}
@@ -215,9 +215,9 @@ func patternFingerprint(p *pattern) (a, b uint8, ok bool) {
 	return bestBit, secondBit, true
 }
 
-// appendURLFingerprint sets the bloom bit of every 4-byte window of the
-// lowered URL — the request side of the fingerprint gate, computed once
-// per request in prepare.
+// urlFingerprint sets the bloom bit of every 4-byte window of the lowered
+// URL — the request side of the fingerprint gate, computed once per
+// request with the rest of the index side.
 func urlFingerprint(fp *[4]uint64, lower string) {
 	for i := 0; i+fpGram <= len(lower); i++ {
 		h := uint64(fnvOffset64)

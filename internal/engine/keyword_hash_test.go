@@ -67,9 +67,9 @@ func TestKeywordHashesDeduped(t *testing.T) {
 	}
 }
 
-// TestPagePermissionsMemoized: the page-permission probe goes through
-// NewRequest, so one call derives the URL memos exactly once and the
-// $document and $elemhide probes share them.
+// TestPagePermissionsMemoized: one PagePermissions call derives the
+// index side exactly once, and the $document and $elemhide probes share
+// it.
 func TestPagePermissionsMemoized(t *testing.T) {
 	e := mustEngine(t,
 		listOf("easylist", "||ads.example^"),
@@ -86,6 +86,6 @@ func TestPagePermissionsMemoized(t *testing.T) {
 		t.Errorf("unexpected grant: %+v", f)
 	}
 	if got := prepares.Load() - before; got != 3 {
-		t.Errorf("prepare ran %d times across 3 PagePermissions calls, want 3 (once per call)", got)
+		t.Errorf("index side derived %d times across 3 PagePermissions calls, want 3 (once per call)", got)
 	}
 }

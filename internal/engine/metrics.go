@@ -20,6 +20,12 @@ type engineMetrics struct {
 	// overhead headline (Garimella et al. make matching overhead a
 	// first-class result).
 	latency *obs.Histogram
+	// derivations counts index-side derivations of requests evaluated on
+	// this engine: one per request that reaches the index, none for a
+	// request the decision cache answered — so against the cache's miss
+	// counter it shows the work the two-phase Request avoids, and a
+	// change that derives eagerly again shows up as derivations ≈ requests.
+	derivations *obs.Counter
 	// activations counts recorded filter firings per source list
 	// ("engine.activations.easylist", ...).
 	activations map[string]*obs.Counter
@@ -40,6 +46,7 @@ func (e *Engine) SetMetrics(reg *obs.Registry) {
 		blocked:     reg.Counter("engine.match.blocked"),
 		allowed:     reg.Counter("engine.match.allowed"),
 		latency:     reg.Histogram("engine.match.latency"),
+		derivations: reg.Counter("engine.request.derivations"),
 		activations: make(map[string]*obs.Counter, len(e.lists)),
 	}
 	for _, name := range e.lists {

@@ -240,7 +240,7 @@ func findSeg(url string, from int, seg string) (int, int) {
 
 // appendDomainBoundaries appends to dst the candidate start positions for
 // a '||'-anchored match: right after the scheme, or after any dot inside
-// the hostname. The request memoizes the result once (Request.bounds) so
+// the hostname. The request derives the result once (indexSide.bounds) so
 // every '||'-anchored candidate of a decision reuses one slice; before
 // that, each candidate allocated its own — the single biggest per-decision
 // allocator.

@@ -49,14 +49,14 @@ func (e *Engine) PoisonFilter(raw string) int {
 // — either the culprit was already quarantined by a concurrent call, or
 // the panic came from outside filter evaluation.
 func (e *Engine) QuarantinePanicking(req *Request) []FilterStat {
-	req.prepare()
+	ix := req.index(e.metrics)
 	var out []FilterStat
 	for r := role(0); r < numRoles; r++ {
 		for _, c := range e.index.all[r] {
 			if c.state.Load() == filterQuarantined {
 				continue
 			}
-			if !panicsOn(c, req) {
+			if !panicsOn(c, req, ix) {
 				continue
 			}
 			// Disable from whichever armed state we saw; losing the CAS
@@ -78,13 +78,13 @@ func (e *Engine) QuarantinePanicking(req *Request) []FilterStat {
 }
 
 // panicsOn reports whether evaluating c against req panics.
-func panicsOn(c *compiledRequest, req *Request) (panicked bool) {
+func panicsOn(c *compiledRequest, req *Request, ix *indexSide) (panicked bool) {
 	defer func() {
 		if recover() != nil {
 			panicked = true
 		}
 	}()
-	c.matches(req)
+	c.matches(req, ix)
 	return false
 }
 

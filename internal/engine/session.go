@@ -49,9 +49,10 @@ func (s *Session) record(a Activation) {
 // production and the ablation evaluation orders. See Engine.MatchRequest
 // for the semantics.
 //
-// In short-circuit mode on a prepared Request this path performs zero heap
+// The first evaluation of a request derives its index side (one
+// allocation); every later one on that request performs zero heap
 // allocations: the keyword hashes, domain boundaries, lowered URL, and
-// third-party bit come from the request's memos, the unified index resolves
+// third-party bit come from the derived block, the unified index resolves
 // blocking and exception in one probe pass, and the Decision embeds its
 // matches by value. TestMatchRequestZeroAlloc pins the property.
 func (s *Session) MatchRequest(req *Request, opts ...MatchOption) Decision {
@@ -67,10 +68,10 @@ func (s *Session) MatchRequest(req *Request, opts ...MatchOption) Decision {
 		tr.reset(trailMode(bits), bits&optShortCircuit != 0)
 		tr.lists = s.e.lists
 	}
-	req.prepare()
+	ix := req.index(s.e.metrics)
 	if tr != nil {
-		tr.KeywordHashes = len(req.kwh)
-		tr.HostKeys = len(req.hostKeys)
+		tr.KeywordHashes = len(ix.kwh)
+		tr.HostKeys = len(ix.hostKeys)
 	}
 	idx := s.e.index
 
@@ -119,7 +120,7 @@ func (s *Session) MatchRequest(req *Request, opts ...MatchOption) Decision {
 		// attribution slot is bumped — one indexed atomic add, no
 		// allocation.
 		var res [numRoles]*compiledRequest
-		idx.resolve(req, maskBlocking|maskException, s.mask, &res, tr)
+		idx.resolve(req, ix, maskBlocking|maskException, s.mask, &res, tr)
 		c := res[roleBlocking]
 		if c == nil {
 			return finishTrail(tr, &d, nil, nil)
@@ -149,7 +150,7 @@ func (s *Session) MatchRequest(req *Request, opts ...MatchOption) Decision {
 		want |= maskDNT | maskDNTException
 	}
 	var res [numRoles]*compiledRequest
-	idx.resolve(req, want, s.mask, &res, tr)
+	idx.resolve(req, ix, want, s.mask, &res, tr)
 	if c := res[roleBlocking]; c != nil {
 		d.blocked = Match{Filter: c.f, List: s.e.listOf(c.listBit)}
 	}
@@ -206,11 +207,9 @@ func finishTrail(tr *Trail, d *Decision, block, exc *compiledRequest) Decision {
 }
 
 // PagePermissions evaluates page-level allowances, recording to the
-// session. See Engine.PagePermissions. The probe goes through NewRequest,
-// so the lowered URL, keyword hashes and domain boundaries are derived
-// once per call and shared by both the $document and the $elemhide probe
-// (the Type flip does not invalidate the memos — they key on URL and
-// document host only).
+// session. See Engine.PagePermissions. The index side is derived once per
+// call and shared by both the $document and the $elemhide probe (the Type
+// flip does not invalidate it — it keys on URL and document host only).
 func (s *Session) PagePermissions(pageURL, sitekeyB64 string) PageFlags {
 	req, err := NewRequest(pageURL, pageURL, filter.TypeDocument)
 	if err != nil {
@@ -218,16 +217,16 @@ func (s *Session) PagePermissions(pageURL, sitekeyB64 string) PageFlags {
 		// request, as the pre-validation engine did.
 		req = &Request{URL: pageURL, Type: filter.TypeDocument,
 			DocumentHost: domainutil.HostOf(pageURL)}
-		req.prepare()
 	}
 	req.Sitekey = sitekeyB64
+	ix := req.index(s.e.metrics)
 	idx := s.e.index
 
 	var flags PageFlags
 	probe := func(t filter.ContentType) *compiledRequest {
 		req.Type = t
 		var res [numRoles]*compiledRequest
-		idx.resolve(req, maskException, s.mask, &res, nil)
+		idx.resolve(req, ix, maskException, s.mask, &res, nil)
 		return res[roleException]
 	}
 	if c := probe(filter.TypeDocument); c != nil {

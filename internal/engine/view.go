@@ -124,7 +124,7 @@ func (v *View) NewSession(rec Recorder) *Session {
 
 // MatchRequest decides a request under the view's profile. Semantics and
 // options are identical to Engine.MatchRequest; only the candidate set
-// differs. The short-circuit path on a prepared request stays zero
+// differs. The short-circuit path on an already-derived request stays zero
 // allocations — the view adds one AND per candidate.
 func (v *View) MatchRequest(req *Request, opts ...MatchOption) Decision {
 	return (&Session{e: v.e, rec: v.e.recorder, mask: v.mask}).MatchRequest(req, opts...)
@@ -189,7 +189,7 @@ type diffState struct {
 // best-id slots for role r. Gates run at most once per candidate even
 // when both profiles include its list; the scan stops once no side can
 // improve.
-func (ds *diffState) scanDiff(seg []packedEntry, r role, req *Request) {
+func (ds *diffState) scanDiff(seg []packedEntry, r role, req *Request, ix *indexSide) {
 	for i := range seg {
 		e := &seg[i]
 		if e.id >= ds.best[0][r] && e.id >= ds.best[1][r] {
@@ -200,10 +200,10 @@ func (ds *diffState) scanDiff(seg []packedEntry, r role, req *Request) {
 		if !w0 && !w1 {
 			continue
 		}
-		if !gatePass(e.word, req) {
+		if !gatePass(e.word, req, ix) {
 			continue
 		}
-		if !e.c.matches(req) {
+		if !e.c.matches(req, ix) {
 			continue
 		}
 		if w0 {
@@ -225,7 +225,7 @@ func (ds *diffState) scanDiff(seg []packedEntry, r role, req *Request) {
 // MatchRequest reports for that view. The effective filter of each side
 // gets its attribution bump, exactly as two separate matches would.
 func (e *Engine) Diff(req *Request, a, b *View) DiffResult {
-	req.prepare()
+	ix := req.index(e.metrics)
 	idx := e.index
 	ds := diffState{masks: [2]uint64{a.mask, b.mask}}
 	for s := range ds.best {
@@ -235,23 +235,23 @@ func (e *Engine) Diff(req *Request, a, b *View) DiffResult {
 	}
 	scanBucketDiff := func(bk *bucket) {
 		for _, r := range diffRoles {
-			ds.scanDiff(bk.entries[bk.offs[r]:bk.offs[r+1]], r, req)
+			ds.scanDiff(bk.entries[bk.offs[r]:bk.offs[r+1]], r, req, ix)
 		}
 	}
-	for _, h := range req.kwh {
+	for _, h := range ix.kwh {
 		if bk := idx.byHash[h]; bk != nil {
 			scanBucketDiff(bk)
 		}
 	}
 	if len(idx.byHost) > 0 {
-		for _, key := range req.hostKeys {
+		for _, key := range ix.hostKeys {
 			if bk := idx.byHost[key]; bk != nil {
 				scanBucketDiff(bk)
 			}
 		}
 	}
 	for _, r := range diffRoles {
-		ds.scanDiff(idx.slow[r], r, req)
+		ds.scanDiff(idx.slow[r], r, req, ix)
 	}
 
 	out := DiffResult{
