@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-smoke bench-json bench-compare bench-harness-check chaos serve-smoke overload-smoke metrics-smoke diff-smoke fuzz-smoke lint-metrics ci
+.PHONY: all build vet test race bench bench-smoke bench-json bench-compare bench-harness-check chaos serve-smoke overload-smoke metrics-smoke diff-smoke fuzz-smoke lint-metrics loc ci
 
 all: build
 
@@ -108,6 +108,19 @@ fuzz-smoke:
 		./internal/engine/snapbin
 	$(GO) test -run '^$$' -fuzz FuzzNewRequestValidation -fuzztime 10s \
 		./internal/engine
+
+# Size report: non-test Go lines and exported declarations (top-level
+# funcs, methods and types) of the serving stack's packages — the numbers a
+# simplification is measured by. Plain shell, nothing to build.
+LOC_PKGS = internal/engine internal/engine/snapbin internal/decision \
+	internal/decision/api cmd/aa-serve
+loc:
+	@for d in $(LOC_PKGS); do \
+		files=$$(ls $$d/*.go | grep -v '_test\.go$$'); \
+		printf '%-26s %6d lines %4d exported\n' $$d \
+			$$(cat $$files | wc -l) \
+			$$(cat $$files | grep -cE '^func (\([^)]*\) )?[A-Z]|^type [A-Z]'); \
+	done
 
 # Metric-name hygiene: every metric registered in obs.Registry must be
 # lowercase dot.separated and unique across the tree.

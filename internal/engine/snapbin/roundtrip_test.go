@@ -1,6 +1,8 @@
 package snapbin_test
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -273,5 +275,45 @@ func TestDecodeFrameErrors(t *testing.T) {
 		if _, err := snapbin.Decode(buf[:cut]); err == nil {
 			t.Errorf("truncation at %d decoded successfully", cut)
 		}
+	}
+}
+
+// goldenEncodeSHA256 is the SHA-256 of snapbin.Encode over the engine
+// goldenEngine builds. Encoding is a pure function of the frozen layout and
+// the list and profile tables, so any change to how the index is frozen,
+// or to what a built engine carries into its arenas, moves this hash. A
+// deliberate format or layout change regenerates it from the test's
+// failure message.
+const goldenEncodeSHA256 = "8b0b9f482f1160279295be043f5f198440249c8ed9bb23d9ad575a1a4527438b"
+
+// goldenEngine is a fixed two-list engine with one extra profile over the
+// exotic corpus.
+func goldenEngine(t *testing.T) *engine.Engine {
+	t.Helper()
+	rng := xrand.New(7)
+	b := engine.NewBuilder()
+	for _, name := range []string{"easylist", "exceptionrules"} {
+		var lines []string
+		for i := 0; i < 400; i++ {
+			lines = append(lines, genCorpusLine(rng))
+		}
+		if err := b.Add(name, filter.ParseListString(name, strings.Join(lines, "\n"))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Profile("easy-only", "easylist"); err != nil {
+		t.Fatal(err)
+	}
+	return b.Build()
+}
+
+// TestEncodeGolden pins the encoded bytes of a fixed engine.
+func TestEncodeGolden(t *testing.T) {
+	buf, err := snapbin.Encode(goldenEngine(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf)); got != goldenEncodeSHA256 {
+		t.Errorf("Encode SHA-256 = %s over %d bytes, want %s", got, len(buf), goldenEncodeSHA256)
 	}
 }
