@@ -51,7 +51,7 @@ const DefaultMaxTotalBytes = 16 << 20
 var ErrBodyBudget = errors.New("browser: page byte budget exhausted")
 
 // Browser drives page loads through an engine. Each Visit records through
-// a private engine session, so multiple Browsers may share one engine and
+// a private recording view, so multiple Browsers may share one engine and
 // a single Browser may run concurrent Visits (the cookie jar is
 // thread-safe); only the exported configuration fields must not be
 // mutated mid-crawl.
@@ -343,9 +343,13 @@ func (b *Browser) VisitContext(ctx context.Context, url string) (*Visit, error) 
 		return v, nil
 	}
 
-	// Record every activation of this visit through a private session,
-	// so browsers sharing one engine can crawl concurrently.
-	sess := b.engine.NewSession(engine.RecorderFunc(func(a engine.Activation) {
+	// Record every activation of this visit through a private recording
+	// view, so browsers sharing one engine can crawl concurrently.
+	full, err := b.engine.View(engine.DefaultProfile)
+	if err != nil {
+		return nil, err
+	}
+	view := full.WithRecorder(engine.RecorderFunc(func(a engine.Activation) {
 		v.Activations = append(v.Activations, a)
 	}))
 
@@ -366,7 +370,7 @@ func (b *Browser) VisitContext(ctx context.Context, url string) (*Visit, error) 
 		}
 	}
 
-	v.Flags = sess.PagePermissions(v.FinalURL, v.SitekeyB64)
+	v.Flags = view.PagePermissions(v.FinalURL, v.SitekeyB64)
 
 	// Sub-resource requests.
 	for _, res := range htmldom.ExtractResources(v.DOM, v.FinalURL) {
@@ -382,7 +386,7 @@ func (b *Browser) VisitContext(ctx context.Context, url string) (*Visit, error) 
 				// blocker matching whatever the page emitted.
 				req = &engine.Request{URL: res.URL, Type: res.Type, DocumentHost: host}
 			}
-			d := sess.MatchRequest(req)
+			d := view.MatchRequest(req)
 			if d.Verdict == engine.Blocked {
 				allowed = false
 				v.BlockedRequests++
@@ -403,7 +407,7 @@ func (b *Browser) VisitContext(ctx context.Context, url string) (*Visit, error) 
 
 	// Element hiding, unless a page-level allowance disabled it.
 	if !v.Flags.DocumentAllowed && !v.Flags.ElemHideDisabled {
-		v.Hidden = sess.HideElements(v.DOM, v.FinalURL, host)
+		v.Hidden = view.HideElements(v.DOM, v.FinalURL, host)
 	}
 	if m := b.metrics; m != nil {
 		m.pages.Inc()

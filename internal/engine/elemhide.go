@@ -127,7 +127,48 @@ func (m *ElementMatch) Hidden() bool { return m.AllowedBy == nil }
 // instead of consulting the id/class candidate index — the ablation
 // baseline quantifying what the index buys.
 func (e *Engine) HideElements(doc *htmldom.Node, pageURL, docHost string, opts ...MatchOption) []ElementMatch {
-	return (&Session{e: e, rec: e.recorder, mask: e.allMask}).HideElements(doc, pageURL, docHost, opts...)
+	return e.views[DefaultProfile].HideElements(doc, pageURL, docHost, opts...)
+}
+
+// HideElements applies element hiding under the view's profile, recording
+// to the view. See Engine.HideElements.
+func (v *View) HideElements(doc *htmldom.Node, pageURL, docHost string, opts ...MatchOption) []ElementMatch {
+	var bits uint8
+	for _, o := range opts {
+		bits |= o.bits
+	}
+	e := v.e
+	candidates := e.allHideCandidates(v.mask)
+	if bits&optLinear == 0 {
+		candidates = e.elemHideCandidates(doc, v.mask)
+	}
+	var out []ElementMatch
+	for _, c := range candidates {
+		if !c.f.AppliesToDomain(docHost) {
+			continue
+		}
+		nodes := c.sel.MatchAll(doc)
+		if len(nodes) == 0 {
+			continue
+		}
+		exc := e.findElemException(c.f.Selector, docHost, v.mask)
+		for _, n := range nodes {
+			m := ElementMatch{Node: n, HiddenBy: Match{Filter: c.f, List: e.listOf(c.listBit)}}
+			if exc != nil {
+				m.AllowedBy = &Match{Filter: exc.f, List: e.listOf(exc.listBit)}
+			}
+			out = append(out, m)
+			e.hit(c.id)
+			v.record(Activation{Filter: c.f, List: e.listOf(c.listBit), Kind: ActElement,
+				URL: pageURL, PageHost: docHost})
+			if exc != nil {
+				e.hit(exc.id)
+				v.record(Activation{Filter: exc.f, List: e.listOf(exc.listBit), Kind: ActElement,
+					URL: pageURL, PageHost: docHost})
+			}
+		}
+	}
+	return out
 }
 
 // elemHideCandidates gathers the hiding filters whose indexed id/class is

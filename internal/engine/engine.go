@@ -303,9 +303,9 @@ type bucket struct {
 const hostIndexMinBucket = 4
 
 // addRec is one entry of the index's ordered construction log. freeze()
-// re-derives every probe structure from this log: routing a filter to
-// the host index depends on the *global* population of its host key,
-// which is only known once the whole corpus is filed.
+// derives every probe structure from this log: routing a filter to the
+// host index depends on the *global* population of its host key, which is
+// only known once the whole corpus is filed.
 type addRec struct {
 	c       *compiledRequest
 	word    uint64
@@ -347,16 +347,9 @@ type unifiedIndex struct {
 	entries []packedEntry
 	buckets []bucket
 
-	// adds is the ordered construction log; freeze() re-derives the probe
-	// structures from it (see addRec).
+	// adds is the ordered construction log; freeze() derives the probe
+	// structures from it (see addRec) and then drops it.
 	adds []addRec
-}
-
-func newUnifiedIndex() *unifiedIndex {
-	return &unifiedIndex{
-		byHash: make(map[uint64]*bucket),
-		byHost: make(map[string]*bucket),
-	}
 }
 
 // add files one compiled filter into the construction log. hostKey
@@ -368,27 +361,10 @@ func (idx *unifiedIndex) add(r role, c *compiledRequest, word uint64, hostKey st
 	idx.adds = append(idx.adds, addRec{c: c, word: word, hostKey: hostKey, r: r})
 }
 
-// grow pre-sizes the construction log and per-role lists for extra
-// insertions with the given role populations, so a bulk load (snapshot
-// decode, large list) files every filter without a single realloc.
-func (idx *unifiedIndex) grow(extra int, perRole *[numRoles]int) {
-	if cap(idx.adds)-len(idx.adds) < extra {
-		adds := make([]addRec, len(idx.adds), len(idx.adds)+extra)
-		copy(adds, idx.adds)
-		idx.adds = adds
-	}
-	for r := role(0); r < numRoles; r++ {
-		if cap(idx.all[r])-len(idx.all[r]) < perRole[r] {
-			all := make([]*compiledRequest, len(idx.all[r]), len(idx.all[r])+perRole[r])
-			copy(all, idx.all[r])
-			idx.all[r] = all
-		}
-	}
-}
-
-// freeze (re)builds the role-partitioned probe structures from the
-// construction log. Host keys below hostIndexMinBucket spill to keyword
-// buckets; everything is then flattened into the two shared slabs.
+// freeze builds the role-partitioned probe structures from the
+// construction log, once, after every list is filed, and releases the
+// log. Host keys below hostIndexMinBucket spill to keyword buckets;
+// everything is then flattened into the two shared slabs.
 //
 // The build is a counting sort: pass one resolves every insertion to its
 // bucket slot and counts per-(bucket, role) populations, pass two places
@@ -490,6 +466,7 @@ func (idx *unifiedIndex) freeze() {
 		}
 	}
 	idx.slow = slow
+	idx.adds = nil
 }
 
 // scanBucket scans one bucket's wanted role segments, improving res/best
@@ -626,23 +603,18 @@ func (idx *unifiedIndex) hasDNT() bool { return len(idx.all[roleDNT]) > 0 }
 type Engine struct {
 	index    *unifiedIndex
 	elemHide *elemHideIndex
-	recorder Recorder
 
 	numFilters int
 	lists      []string
 	listCounts map[string]int
 	// listBits maps each loaded list name to its membership bit; allMask
-	// is the OR of every assigned bit — the mask the flat (un-profiled)
-	// engine matches under. profiles maps a profile name to the mask of
-	// the lists it includes; "full" (all lists) is always present on a
-	// built engine.
+	// is the OR of every assigned bit.
 	listBits map[string]uint64
 	allMask  uint64
-	profiles map[string]uint64
-	// views caches one immutable *View per profile so resolving a profile
-	// on the serving hot path is a map read, not an allocation. Built by
-	// Builder.Build; View falls back to constructing on the fly for
-	// engines assembled through the deprecated AddList path.
+	// views holds one immutable *View per profile, keyed by name: the
+	// profile table itself. DefaultProfile (all lists) is always present
+	// on a sealed engine, and the engine's own match methods run through
+	// it.
 	views map[string]*View
 	// noFingerprint / noHostIndex disable the fingerprint gate and the
 	// reversed-domain host index at build time — the ablation switches
@@ -663,9 +635,8 @@ type Engine struct {
 	lazyRefLine    []int32
 	lazyRefListIdx []uint8
 	// hits holds one atomic counter per compiled filter, indexed by the
-	// filter's id. It is (re)sized at the end of every addList, so after
-	// construction every filter has a slot and the match path bumps it
-	// with a single indexed atomic add — no map, no allocation.
+	// filter's id and sized by seal, so the match path bumps it with a
+	// single indexed atomic add — no map, no allocation.
 	hits []atomic.Int64
 	// metrics is the optional telemetry hook; nil (the default) keeps the
 	// match path free of instrumentation. See SetMetrics.
@@ -713,12 +684,16 @@ func listNameOf(lists []string, listBit uint64) string {
 // listOf resolves a compiled filter's membership bit to its list name.
 func (e *Engine) listOf(listBit uint64) string { return listNameOf(e.lists, listBit) }
 
-// hit bumps a filter's attribution slot. The guard only matters for the
-// deprecated mutate-while-matching AddList path; built engines always
-// have a slot per filter.
-func (e *Engine) hit(id uint32) {
-	if int(id) < len(e.hits) {
-		e.hits[id].Add(1)
+// hit bumps a filter's attribution slot.
+func (e *Engine) hit(id uint32) { e.hits[id].Add(1) }
+
+// seal finishes a fully loaded engine — built or decoded — for serving:
+// one attribution slot per filter and the always-present DefaultProfile
+// view. Builder.Build and FromArenas both end here.
+func (e *Engine) seal() {
+	e.hits = make([]atomic.Int64, e.numFilters)
+	if _, ok := e.views[DefaultProfile]; !ok {
+		e.setView(DefaultProfile, e.allMask)
 	}
 }
 
@@ -743,22 +718,15 @@ type NamedList struct {
 	List *filter.List
 }
 
-// AddList compiles and indexes every active filter of l under the given
-// list name. Pattern and selector compilation fans out across GOMAXPROCS
-// workers; insertion stays sequential, so the built engine is byte-for-byte
-// deterministic regardless of worker count.
-//
-// Deprecated: mutating a live engine is unsafe under concurrent readers.
-// Accumulate lists with a Builder and publish the frozen engine instead;
-// AddList remains for single-threaded construction paths.
-func (e *Engine) AddList(name string, l *filter.List) error {
-	return e.addList(name, l, 0)
-}
-
 // maxLists bounds how many lists one engine can hold: each list gets one
 // membership bit of a uint64 profile mask.
 const maxLists = 64
 
+// addList compiles every active filter of l and files it under the given
+// list name; Build freezes the index over all of them. Pattern and
+// selector compilation fans out across workers; insertion stays
+// sequential, so the built engine is byte-for-byte deterministic
+// regardless of worker count.
 func (e *Engine) addList(name string, l *filter.List, workers int) error {
 	if e.listBits == nil {
 		e.listBits = make(map[string]uint64)
@@ -799,13 +767,6 @@ func (e *Engine) addList(name string, l *filter.List, workers int) error {
 		e.listCounts = make(map[string]int)
 	}
 	e.listCounts[name] += e.numFilters - before
-	// Rebuild the probe buckets over everything filed so far, so the
-	// deprecated mutate-and-match AddList path sees the new list too.
-	e.index.freeze()
-	// Fresh attribution slots covering every filter loaded so far. Counts
-	// recorded mid-construction are discarded — matching before the engine
-	// is fully built is the deprecated AddList path only.
-	e.hits = make([]atomic.Int64, e.numFilters)
 	return nil
 }
 
@@ -813,8 +774,8 @@ func (e *Engine) addList(name string, l *filter.List, workers int) error {
 // index into fixed-size backing arrays, so &req[i] / &elem[i] are stable
 // addresses the indexes can file.
 type listArena struct {
-	req        []compiledRequest
-	elem       []compiledElem
+	req         []compiledRequest
+	elem        []compiledElem
 	nReq, nElem int
 }
 
@@ -883,9 +844,6 @@ func (e *Engine) Lists() []string { return e.lists }
 // ListFilters returns how many compiled filters the named list
 // contributed, or 0 for an unknown list.
 func (e *Engine) ListFilters(name string) int { return e.listCounts[name] }
-
-// SetRecorder installs the activation hook; nil disables recording.
-func (e *Engine) SetRecorder(r Recorder) { e.recorder = r }
 
 // FilterStat is one compiled filter's hit attribution: its text, where it
 // came from, and how many times it has been the effective filter since the
@@ -967,8 +925,11 @@ func (e *Engine) AttributionByList() map[string]ListAttribution {
 //
 // WithShortCircuit and WithLinearScan select the production short-circuit
 // and the index-free ablation evaluation respectively; see the options.
+//
+// The engine's match methods serve the DefaultProfile view and record
+// nothing; View.WithRecorder adds a recorder.
 func (e *Engine) MatchRequest(req *Request, opts ...MatchOption) Decision {
-	return (&Session{e: e, rec: e.recorder, mask: e.allMask}).MatchRequest(req, opts...)
+	return e.views[DefaultProfile].MatchRequest(req, opts...)
 }
 
 // PageFlags reports whole-page allowances granted by $document/$elemhide
@@ -990,7 +951,7 @@ type PageFlags struct {
 // load. sitekey is the verified base64 public key presented by the server,
 // or "".
 func (e *Engine) PagePermissions(pageURL, sitekey string) PageFlags {
-	return (&Session{e: e, rec: e.recorder, mask: e.allMask}).PagePermissions(pageURL, sitekey)
+	return e.views[DefaultProfile].PagePermissions(pageURL, sitekey)
 }
 
 // lowerASCII lowercases A-Z only, leaving the rest of the URL intact; it

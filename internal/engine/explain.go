@@ -87,7 +87,7 @@ type Trail struct {
 	// DoNotTrack mirrors the decision's DNT signal.
 	DoNotTrack bool `json:"doNotTrack,omitempty"`
 
-	// lists is the engine's list-name table, installed by the session on
+	// lists is the engine's list-name table, installed by MatchRequest on
 	// reset; compiled filters carry only their list bit, and the trail
 	// resolves it to a name at record time.
 	lists []string

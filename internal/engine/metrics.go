@@ -33,7 +33,7 @@ type engineMetrics struct {
 
 // SetMetrics wires the engine's hot-path telemetry into reg; nil reg
 // disables it. Call it before matching starts (it is not synchronized
-// against concurrent sessions) and after every list has been added, so the
+// against concurrent matches) and after every list has been added, so the
 // per-list activation counters cover all loaded lists.
 func (e *Engine) SetMetrics(reg *obs.Registry) {
 	if reg == nil {

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"regexp"
-	"sync/atomic"
 
 	"acceptableads/internal/css"
 	"acceptableads/internal/filter"
@@ -149,7 +148,7 @@ func (e *Engine) ToArenas() *Arenas {
 		a.Lists = append(a.Lists, ArenaList{Name: name, Filters: e.listCounts[name]})
 	}
 	for _, name := range e.Profiles() {
-		a.Profiles = append(a.Profiles, ArenaProfile{Name: name, Mask: e.profiles[name]})
+		a.Profiles = append(a.Profiles, ArenaProfile{Name: name, Mask: e.views[name].mask})
 	}
 	for id := 0; id < n; id++ {
 		ref := &refs[id]
@@ -523,8 +522,8 @@ func FromArenas(a *Arenas) (*Engine, error) {
 	}
 	n := a.Raw.Len()
 	e := &Engine{
-		index:         newUnifiedIndex(),
-		elemHide:      newElemHideIndex(),
+		index:         &unifiedIndex{},
+		elemHide:      &elemHideIndex{},
 		listCounts:    make(map[string]int, len(a.Lists)),
 		listBits:      make(map[string]uint64, len(a.Lists)),
 		noFingerprint: a.NoFingerprint,
@@ -560,9 +559,11 @@ func FromArenas(a *Arenas) (*Engine, error) {
 		}
 	}
 	// The construction log (adds) is skipped entirely: the frozen layout
-	// arrives serialized, so decode never re-freezes, and ToArenas reads
-	// the frozen structures. Only the per-role linear views are filed.
-	e.index.grow(0, &perRole)
+	// arrives serialized, so decode never freezes, and ToArenas reads the
+	// frozen structures. Only the per-role linear views are filed.
+	for r := range perRole {
+		e.index.all[r] = make([]*compiledRequest, 0, perRole[r])
+	}
 	sels, err := a.Css.Build()
 	if err != nil {
 		return nil, err
@@ -641,17 +642,10 @@ func FromArenas(a *Arenas) (*Engine, error) {
 	if err := e.index.installLayout(a, reqs, reqIdxOf); err != nil {
 		return nil, err
 	}
-	e.hits = make([]atomic.Int64, n)
-	e.profiles = make(map[string]uint64, len(a.Profiles)+1)
+	e.views = make(map[string]*View, len(a.Profiles)+1)
 	for _, p := range a.Profiles {
-		e.profiles[p.Name] = p.Mask
+		e.setView(p.Name, p.Mask)
 	}
-	if _, ok := e.profiles[DefaultProfile]; !ok {
-		e.profiles[DefaultProfile] = e.allMask
-	}
-	e.views = make(map[string]*View, len(e.profiles))
-	for name, mask := range e.profiles {
-		e.views[name] = &View{e: e, mask: mask, name: name}
-	}
+	e.seal()
 	return e, nil
 }

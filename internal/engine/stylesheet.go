@@ -14,21 +14,20 @@ import (
 // become one big stylesheet, not per-node DOM surgery — and it is the
 // engine API a browser-integration consumer would use.
 func (e *Engine) ElemHideCSS(docHost string) string {
-	return e.elemHideCSS(docHost, e.allMask)
+	return e.views[DefaultProfile].ElemHideCSS(docHost)
 }
 
-// elemHideCSS is ElemHideCSS restricted to a profile mask; View.ElemHideCSS
-// goes through here.
-func (e *Engine) elemHideCSS(docHost string, mask uint64) string {
+// ElemHideCSS builds the injectable stylesheet under the view's profile.
+func (v *View) ElemHideCSS(docHost string) string {
 	var selectors []string
-	for _, c := range e.elemHide.all {
-		if c.listBit&mask == 0 {
+	for _, c := range v.e.elemHide.all {
+		if c.listBit&v.mask == 0 {
 			continue
 		}
 		if !c.f.AppliesToDomain(docHost) {
 			continue
 		}
-		if e.findElemException(c.f.Selector, docHost, mask) != nil {
+		if v.e.findElemException(c.f.Selector, docHost, v.mask) != nil {
 			continue
 		}
 		selectors = append(selectors, c.f.Selector)

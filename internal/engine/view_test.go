@@ -2,6 +2,7 @@ package engine
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"acceptableads/internal/filter"
@@ -302,5 +303,72 @@ func TestDiffMatchesIndependentViews(t *testing.T) {
 		if d.Flipped != (d.A.Verdict != d.B.Verdict) {
 			t.Fatalf("Flipped inconsistent on %q: %+v", url, d)
 		}
+	}
+}
+
+// TestRecorderIsolation: recording views over one engine are independent.
+// Eight goroutines match one shared request slice, each through its own
+// WithRecorder copy of the full or of a strict-subset profile's view,
+// interleaved with matches through the shared un-recorded views. Every
+// recorder must see exactly the activations a serial run of its view
+// produces, and the shared views must stay recorder-free. Run under -race
+// this is the concurrency guarantee of recording views.
+func TestRecorderIsolation(t *testing.T) {
+	e := mustEngine(t,
+		listOf("easylist", "||ads.example^\n||track.example^$third-party\n/banner/"),
+		listOf("exceptionrules", "@@||ads.example/ok/\n@@||cdn.example^$third-party"),
+	)
+	full, err := e.View(DefaultProfile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	el := mustProfile(t, e, "easylist", "easylist")
+
+	var reqs []*Request
+	for _, u := range []string{
+		"http://ads.example/x.js", "http://ads.example/ok/x.js", "http://track.example/p.gif",
+		"http://cdn.example/lib.js", "http://plain.example/banner/1.png", "http://plain.example/a.css",
+	} {
+		req, err := NewRequest(u, "http://page.example/", filter.TypeScript)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs = append(reqs, req)
+	}
+	const rounds = 50
+	run := func(v *View) []string {
+		var got []string
+		rv := v.WithRecorder(RecorderFunc(func(a Activation) { got = append(got, a.List+" "+a.Filter.Raw) }))
+		for i := 0; i < rounds; i++ {
+			for _, req := range reqs {
+				rv.MatchRequest(req)
+				v.MatchRequest(req)
+			}
+		}
+		return got
+	}
+	want := [2][]string{run(full), run(el)}
+	if len(want[0]) == 0 || len(want[1]) == 0 || strings.Join(want[0], "|") == strings.Join(want[1], "|") {
+		t.Fatalf("fixture does not tell the profiles apart: full %q, easylist %q", want[0], want[1])
+	}
+
+	const workers = 8
+	got := make([][]string, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			got[w] = run([2]*View{full, el}[w%2])
+		}(w)
+	}
+	wg.Wait()
+	for w := range got {
+		if g, x := strings.Join(got[w], "|"), strings.Join(want[w%2], "|"); g != x {
+			t.Errorf("worker %d recorded %d activations, want %d: %q", w, len(got[w]), len(want[w%2]), got[w])
+		}
+	}
+	if full.rec != nil || el.rec != nil {
+		t.Error("WithRecorder mutated a shared view")
 	}
 }

@@ -71,7 +71,7 @@ func TestMatchRequestZeroAlloc(t *testing.T) {
 	if tr.HostBucketsProbed == 0 {
 		t.Fatalf("doubleclick request did not probe the host index: %+v", tr)
 	}
-	sess := e.NewSession(nil)
+	sess := e.views[DefaultProfile]
 	allocs := testing.AllocsPerRun(200, func() {
 		for _, req := range reqs {
 			sess.MatchRequest(req, WithShortCircuit())
@@ -103,8 +103,8 @@ func TestMatchRequestZeroAlloc(t *testing.T) {
 	}
 
 	// Profile views must not cost the property either: the mask gate is
-	// one AND per candidate, and the view's session is equally
-	// stack-allocated. Checked on a strict-subset profile, where the gate
+	// one AND per candidate, and a recording copy of the view adds no
+	// per-call state. Checked on a strict-subset profile, where the gate
 	// actually skips candidates.
 	if err := e.addProfile("easylist", "easylist"); err != nil {
 		t.Fatal(err)
@@ -113,7 +113,7 @@ func TestMatchRequestZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vsess := view.NewSession(nil)
+	vsess := view.WithRecorder(nil)
 	allocs = testing.AllocsPerRun(200, func() {
 		for _, req := range reqs {
 			vsess.MatchRequest(req, WithShortCircuit())
