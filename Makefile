@@ -62,24 +62,20 @@ chaos:
 		-fault-rate 0.2 -fault-seed 7 -page-timeout 2s \
 		-max-retries 3 -error-budget 0.5 -summary
 
-# End-to-end check of the decision service: aa-serve starts against the
-# testdata lists, exercises match/batch/elemhide/lists/reload against
-# itself, then SIGTERMs itself and must drain cleanly.
+# End-to-end check of the decision service: aa-serve's lifecycle runs
+# against the testdata lists on a loopback listener, every endpoint is
+# exercised through api.Client, then a SIGTERM must flip /readyz to 503
+# and drain cleanly. Under the race detector.
 serve-smoke:
-	$(GO) run -race ./cmd/aa-serve -smoke -listen 127.0.0.1:0 \
-		-easylist cmd/aa-serve/testdata/easylist.txt \
-		-whitelist cmd/aa-serve/testdata/exceptionrules.txt
+	$(GO) test -race -run '^TestServeSmoke$$' -count=1 -v ./cmd/aa-serve
 
-# Overload acceptance: aa-serve under a tiny admission limit (capacity 2,
-# queue 2) hammers itself past the concurrency limit under the race
-# detector. The run must show real 429s with Retry-After, no 5xx, at
+# Overload acceptance: the same lifecycle under a tiny admission limit
+# (capacity 2, queue 2), hammered past the concurrency limit under the
+# race detector. The run must show real 429s with Retry-After, no 5xx, at
 # least one admitted heavyweight batch, and /readyz flipping to 503
 # during the SIGTERM drain.
 overload-smoke:
-	$(GO) run -race ./cmd/aa-serve -smoke -overload -listen 127.0.0.1:0 \
-		-shed-capacity 2 -shed-queue 2 \
-		-easylist cmd/aa-serve/testdata/easylist.txt \
-		-whitelist cmd/aa-serve/testdata/exceptionrules.txt
+	$(GO) test -race -run '^TestServeOverload$$' -count=1 -v ./cmd/aa-serve
 
 # Prometheus exposition check: start the serve stack, scrape /metrics,
 # validate the text format with the parser in cmd/aa-serve's tests, and

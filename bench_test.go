@@ -909,7 +909,7 @@ func BenchmarkDecisionCacheOff(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		svc.Match(reqs[i%len(reqs)])
+		svc.MatchProfile(reqs[i%len(reqs)], "")
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "matches/sec")
 }
@@ -920,7 +920,7 @@ func BenchmarkDecisionCacheOn(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		svc.Match(reqs[i%len(reqs)])
+		svc.MatchProfile(reqs[i%len(reqs)], "")
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "matches/sec")
 }
@@ -936,7 +936,7 @@ func BenchmarkDecisionCacheOffParallel(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
-			svc.Match(reqs[i%len(reqs)])
+			svc.MatchProfile(reqs[i%len(reqs)], "")
 			i++
 		}
 	})
@@ -951,7 +951,7 @@ func BenchmarkDecisionCacheOnParallel(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
-			svc.Match(reqs[i%len(reqs)])
+			svc.MatchProfile(reqs[i%len(reqs)], "")
 			i++
 		}
 	})

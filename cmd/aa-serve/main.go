@@ -55,17 +55,15 @@
 //	         [-canary-probes FILE] [-no-canary] \
 //	         [-profiles "easylist=easylist"]
 //
-// With -smoke the server starts, exercises every endpoint against
-// itself (probes, match, explain, batch, reload, rollback), delivers
-// itself a real SIGTERM and asserts /readyz flips before a clean drain —
-// the CI end-to-end check behind `make serve-smoke`. Adding -overload
+// The end-to-end checks live in this package's tests and drive run
+// itself: `make serve-smoke` exercises every endpoint, delivers SIGTERM
+// and asserts /readyz flips before a clean drain; `make overload-smoke`
 // hammers /v1/match past the admission limit and asserts shed requests
 // get 429 + Retry-After while admitted ones are served and /healthz
-// stays up — `make overload-smoke`.
+// stays up.
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -82,7 +80,6 @@ import (
 
 	"acceptableads/internal/core"
 	"acceptableads/internal/decision"
-	"acceptableads/internal/decision/api"
 	"acceptableads/internal/engine"
 	"acceptableads/internal/obs"
 	"acceptableads/internal/subscription"
@@ -110,48 +107,62 @@ type config struct {
 	canaryProbes   string
 	noCanary       bool
 	profiles       string
-	smoke          bool
-	overload       bool
 }
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("aa-serve: ")
-	var cfg config
-	flag.StringVar(&cfg.listen, "listen", "127.0.0.1:8765", "serve the decision API on this address")
-	flag.StringVar(&cfg.metricsAddr, "metrics-addr", "", "serve /debug/vars and /debug/pprof/ on this address (empty = off)")
-	flag.StringVar(&cfg.logLevel, "log-level", "info", "log spec: LEVEL or component=LEVEL,... (debug, info, warn, error)")
-	flag.StringVar(&cfg.easylist, "easylist", "", "EasyList file, re-read on every reload")
-	flag.StringVar(&cfg.whitelist, "whitelist", "", "exceptionrules file, re-read on every reload")
-	flag.StringVar(&cfg.easylistURL, "easylist-url", "", "EasyList subscription URL (conditional fetches)")
-	flag.StringVar(&cfg.whitelistURL, "whitelist-url", "", "exceptionrules subscription URL (conditional fetches)")
-	flag.Uint64Var(&cfg.seed, "seed", core.DefaultSeed, "study seed for the synthetic lists used when no list flags are given")
-	flag.IntVar(&cfg.cacheSize, "cache", 1<<16, "decision cache capacity in entries (0 = off)")
-	flag.DurationVar(&cfg.requestTimeout, "request-timeout", decision.DefaultRequestTimeout, "per-request deadline")
-	flag.DurationVar(&cfg.drainTimeout, "drain-timeout", 10*time.Second, "how long shutdown waits for in-flight requests")
-	flag.DurationVar(&cfg.drainGrace, "drain-grace", 0, "how long readiness stays false before the listener drains (lets load balancers stop routing)")
-	flag.IntVar(&cfg.maxRetries, "max-retries", 2, "reload fetch retries after the first attempt")
-	flag.StringVar(&cfg.stateDir, "state-dir", "", "persist published snapshots here and warm-start from the last one (empty = off)")
-	flag.IntVar(&cfg.snapshots, "snapshots", decision.DefaultKeepSnapshots, "how many published snapshots the rollback ring retains")
-	flag.Int64Var(&cfg.shedCapacity, "shed-capacity", decision.DefaultShedCapacity, "admission weight allowed in flight at once (0 = shedding off)")
-	flag.Int64Var(&cfg.shedQueue, "shed-queue", decision.DefaultShedQueue, "bounded admission wait queue (negative = shed immediately when full)")
-	flag.StringVar(&cfg.canaryProbes, "canary-probes", "", "JSON file with golden probes replayed against every candidate snapshot")
-	flag.BoolVar(&cfg.noCanary, "no-canary", false, "disable canary validation of reloads (chaos drills only)")
-	flag.StringVar(&cfg.profiles, "profiles", "easylist=easylist",
-		`list profiles as "name=list,list;name=*" ("*" = every list; empty = only the implicit full profile)`)
-	flag.BoolVar(&cfg.smoke, "smoke", false, "start, exercise every endpoint, SIGTERM self, assert clean drain")
-	flag.BoolVar(&cfg.overload, "overload", false, "with -smoke: hammer /v1/match past the concurrency limit and assert 429s, no 5xx")
-	flag.Parse()
-	if err := run(cfg); err != nil {
+	cfg := parseFlags(os.Args[1:])
+	// Signals are routed before the listener opens, so one that arrives
+	// while the first snapshot builds is handled once serving starts.
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, syscall.SIGHUP, syscall.SIGINT, syscall.SIGTERM)
+	ln, err := net.Listen("tcp", cfg.listen)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := run(cfg, ln, sigs); err != nil {
 		log.Fatal(err)
 	}
 }
 
-// run is the whole server lifecycle; returning (instead of log.Fatal
+// parseFlags parses the command line into a config; a malformed flag
+// exits with the usage text, as flag.Parse does.
+func parseFlags(args []string) config {
+	var cfg config
+	fs := flag.NewFlagSet("aa-serve", flag.ExitOnError)
+	fs.StringVar(&cfg.listen, "listen", "127.0.0.1:8765", "serve the decision API on this address")
+	fs.StringVar(&cfg.metricsAddr, "metrics-addr", "", "serve /debug/vars and /debug/pprof/ on this address (empty = off)")
+	fs.StringVar(&cfg.logLevel, "log-level", "info", "log spec: LEVEL or component=LEVEL,... (debug, info, warn, error)")
+	fs.StringVar(&cfg.easylist, "easylist", "", "EasyList file, re-read on every reload")
+	fs.StringVar(&cfg.whitelist, "whitelist", "", "exceptionrules file, re-read on every reload")
+	fs.StringVar(&cfg.easylistURL, "easylist-url", "", "EasyList subscription URL (conditional fetches)")
+	fs.StringVar(&cfg.whitelistURL, "whitelist-url", "", "exceptionrules subscription URL (conditional fetches)")
+	fs.Uint64Var(&cfg.seed, "seed", core.DefaultSeed, "study seed for the synthetic lists used when no list flags are given")
+	fs.IntVar(&cfg.cacheSize, "cache", 1<<16, "decision cache capacity in entries (0 = off)")
+	fs.DurationVar(&cfg.requestTimeout, "request-timeout", decision.DefaultRequestTimeout, "per-request deadline")
+	fs.DurationVar(&cfg.drainTimeout, "drain-timeout", 10*time.Second, "how long shutdown waits for in-flight requests")
+	fs.DurationVar(&cfg.drainGrace, "drain-grace", 0, "how long readiness stays false before the listener drains (lets load balancers stop routing)")
+	fs.IntVar(&cfg.maxRetries, "max-retries", 2, "reload fetch retries after the first attempt")
+	fs.StringVar(&cfg.stateDir, "state-dir", "", "persist published snapshots here and warm-start from the last one (empty = off)")
+	fs.IntVar(&cfg.snapshots, "snapshots", decision.DefaultKeepSnapshots, "how many published snapshots the rollback ring retains")
+	fs.Int64Var(&cfg.shedCapacity, "shed-capacity", decision.DefaultShedCapacity, "admission weight allowed in flight at once (0 = shedding off)")
+	fs.Int64Var(&cfg.shedQueue, "shed-queue", decision.DefaultShedQueue, "bounded admission wait queue (negative = shed immediately when full)")
+	fs.StringVar(&cfg.canaryProbes, "canary-probes", "", "JSON file with golden probes replayed against every candidate snapshot")
+	fs.BoolVar(&cfg.noCanary, "no-canary", false, "disable canary validation of reloads (chaos drills only)")
+	fs.StringVar(&cfg.profiles, "profiles", "easylist=easylist",
+		`list profiles as "name=list,list;name=*" ("*" = every list; empty = only the implicit full profile)`)
+	fs.Parse(args) //nolint:errcheck // ExitOnError: Parse exits instead of returning an error
+	return cfg
+}
+
+// run is the whole server lifecycle on ln, which it owns: SIGHUP on sigs
+// reloads, SIGTERM or SIGINT drains. Returning (instead of log.Fatal
 // scattered through goroutines) means deferred cleanup — the telemetry
 // listener, notably — always runs, and a listener failure takes the same
 // drain path as a signal.
-func run(cfg config) error {
+func run(cfg config, ln net.Listener, sigs <-chan os.Signal) error {
+	defer ln.Close()
 	if err := obs.SetLogSpec(cfg.logLevel); err != nil {
 		return err
 	}
@@ -221,10 +232,6 @@ func run(cfg config) error {
 		log.Printf("load shedding: capacity %d, queue %d", cfg.shedCapacity, cfg.shedQueue)
 	}
 
-	ln, err := net.Listen("tcp", cfg.listen)
-	if err != nil {
-		return err
-	}
 	srv := &http.Server{
 		Handler: decision.Handler(svc, decision.HandlerConfig{
 			RequestTimeout: cfg.requestTimeout,
@@ -244,24 +251,9 @@ func run(cfg config) error {
 	}()
 	log.Printf("decision API at http://%s/v1/match", ln.Addr())
 
-	drainGrace := cfg.drainGrace
-	smokeErr := make(chan error, 1)
-	if cfg.smoke {
-		if drainGrace == 0 {
-			// The smoke asserts /readyz flips to 503 before the listener
-			// closes; give it a window to observe that.
-			drainGrace = 750 * time.Millisecond
-		}
-		go func() { smokeErr <- runSmoke("http://"+ln.Addr().String(), cfg.overload) }()
-	}
-
 	// Event loop: SIGHUP reloads without blocking readers; SIGTERM,
 	// SIGINT and a listener failure drain in-flight requests, then exit.
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, syscall.SIGHUP, syscall.SIGINT, syscall.SIGTERM)
 	var exitErr error
-	var smokeDone bool
-	var smokeRes error
 loop:
 	for {
 		select {
@@ -277,29 +269,20 @@ loop:
 				log.Printf("SIGHUP reload: snapshot v%d, %d filters", next.Version, next.Engine.NumFilters())
 				continue
 			}
-			log.Printf("%s: draining (grace %s, up to %s)...", sig, drainGrace, cfg.drainTimeout)
+			log.Printf("%s: draining (grace %s, up to %s)...", sig, cfg.drainGrace, cfg.drainTimeout)
 			break loop
 		case err := <-serveErr:
 			log.Printf("serve failed: %v; draining...", err)
 			exitErr = err
 			break loop
-		case err := <-smokeErr:
-			// A failed smoke never reaches its self-SIGTERM; drain and
-			// report instead of serving forever. A successful smoke's
-			// SIGTERM is already in flight — keep looping for it.
-			smokeDone, smokeRes = true, err
-			if err != nil {
-				log.Printf("smoke failed: %v; draining...", err)
-				break loop
-			}
 		}
 	}
 
 	// Readiness goes false first so load balancers stop routing, then the
 	// grace window lets straggler requests land, then the listener drains.
 	svc.SetDraining(true)
-	if drainGrace > 0 {
-		time.Sleep(drainGrace)
+	if cfg.drainGrace > 0 {
+		time.Sleep(cfg.drainGrace)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
 	err = srv.Shutdown(ctx)
@@ -308,21 +291,6 @@ loop:
 		return fmt.Errorf("drain incomplete: %w", err)
 	}
 	log.Printf("drained cleanly")
-
-	if cfg.smoke {
-		if !smokeDone {
-			smokeRes = <-smokeErr
-		}
-		if smokeRes != nil {
-			return fmt.Errorf("smoke: %w", smokeRes)
-		}
-		st := svc.Stats()
-		var hits int64
-		if st.Cache != nil {
-			hits = st.Cache.Hits
-		}
-		log.Printf("smoke: all checks passed (matches=%d, cache hits=%d)", st.Matches, hits)
-	}
 	return exitErr
 }
 
@@ -433,491 +401,3 @@ func studySource(seed uint64) decision.Source {
 type sourceFunc func(ctx context.Context) ([]engine.NamedList, error)
 
 func (f sourceFunc) Load(ctx context.Context) ([]engine.NamedList, error) { return f(ctx) }
-
-// ---- smoke test -------------------------------------------------------------
-
-// runSmoke exercises every endpoint against the live server through the
-// typed api.Client, then delivers a real SIGTERM to this process so the
-// event loop's drain path runs end to end — and asserts /readyz flips to
-// 503 during the drain grace before the listener closes. With overload,
-// /v1/match is hammered past the admission limit first, asserting 429s
-// appear and nothing 5xxs. run asserts the drain and reports the outcome.
-func runSmoke(base string, overload bool) error {
-	client := &http.Client{Timeout: 10 * time.Second}
-	c := api.NewClient(base, client)
-	ctx := context.Background()
-
-	// Probes answer before anything else is exercised.
-	if err := checkProbe(client, base+"/healthz", http.StatusOK); err != nil {
-		return err
-	}
-	if err := checkProbe(client, base+"/readyz", http.StatusOK); err != nil {
-		return err
-	}
-
-	// The snapshot should be serving and non-empty, with the declared
-	// easylist profile next to the implicit full one.
-	lists, err := c.Lists(ctx)
-	if err != nil {
-		return err
-	}
-	if lists.Snapshot < 1 || lists.Filters == 0 {
-		return fmt.Errorf("/v1/lists: empty snapshot: %+v", lists)
-	}
-	if len(lists.Profiles) != 2 || lists.Profiles[0] != "easylist" || lists.Profiles[1] != "full" {
-		return fmt.Errorf("/v1/lists: profiles = %v, want [easylist full]", lists.Profiles)
-	}
-
-	// A blocked URL decides "blocked"; the repeat is a cache hit.
-	blocked := api.MatchRequest{
-		URL: "http://ads.example.com/banner.js", Document: "http://news.example.com/", Type: "script",
-	}
-	m, err := c.Match(ctx, blocked)
-	if err != nil {
-		return err
-	}
-	if m.Verdict != "blocked" || m.BlockedBy == nil {
-		return fmt.Errorf("/v1/match: want blocked, got %+v", m)
-	}
-	if m, err = c.Match(ctx, blocked); err != nil {
-		return err
-	}
-	if !m.Cached {
-		return fmt.Errorf("/v1/match: repeat not served from cache: %+v", m)
-	}
-
-	// /v1/explain agrees with /v1/match and names the winning blocking
-	// filter with its source list; the repeat above means the request is
-	// currently cache-served, which the trail reports against the pinned
-	// snapshot version.
-	ex, err := c.Explain(ctx, blocked)
-	if err != nil {
-		return err
-	}
-	if ex.Verdict != "blocked" || ex.Trail == nil || ex.Trail.Block == nil {
-		return fmt.Errorf("/v1/explain: want blocked with a block trail, got %+v", ex)
-	}
-	if ex.Trail.Block.Filter == "" || ex.Trail.Block.List != "easylist" || ex.Trail.Block.Line == 0 {
-		return fmt.Errorf("/v1/explain: block trail lacks filter/list/line: %+v", ex.Trail.Block)
-	}
-	if !ex.CacheHit || ex.Snapshot != lists.Snapshot {
-		return fmt.Errorf("/v1/explain: want cacheHit on pinned snapshot v%d, got %+v", lists.Snapshot, ex)
-	}
-	if ex.Profile != "full" {
-		return fmt.Errorf("/v1/explain: resolved profile = %q, want full", ex.Profile)
-	}
-
-	// A whitelisted request names the winning exception filter.
-	wl := api.MatchRequest{
-		URL: "http://ads.example.com/acceptable/ad.png", Document: "http://news.example.com/", Type: "image",
-	}
-	if ex, err = c.Explain(ctx, wl); err != nil {
-		return err
-	}
-	if ex.Verdict != "allowed" || ex.Trail == nil || ex.Trail.Exception == nil {
-		return fmt.Errorf("/v1/explain: want allowed with an exception trail, got %+v", ex)
-	}
-	if ex.Trail.Exception.Filter == "" || ex.Trail.Exception.List != "exceptionrules" {
-		return fmt.Errorf("/v1/explain: exception trail lacks filter/list: %+v", ex.Trail.Exception)
-	}
-
-	// The profile surface: under the easylist-only profile the exception
-	// list is out of scope, so the same whitelisted request blocks.
-	if err := smokeProfiles(ctx, c, client, base, wl); err != nil {
-		return err
-	}
-
-	// Every response carries a trace id; an inbound one is honored.
-	if err := checkTrace(client, base); err != nil {
-		return err
-	}
-
-	// /metrics serves the Prometheus exposition with attribution families
-	// (the profile traffic above makes the per-profile counters appear).
-	if err := checkMetrics(client, base); err != nil {
-		return err
-	}
-
-	// A batch pins one snapshot and one profile; a malformed entry fails
-	// alone.
-	b, err := c.MatchBatch(ctx, api.BatchRequest{Requests: []api.MatchRequest{
-		blocked,
-		{URL: "http://cdn.example.com/app.js", Document: "http://news.example.com/", Type: "script"},
-		{URL: "", Document: "http://news.example.com/"},
-	}})
-	if err != nil {
-		return err
-	}
-	if len(b.Results) != 3 {
-		return fmt.Errorf("/v1/match-batch: want 3 results, got %d", len(b.Results))
-	}
-	if b.Results[0].Verdict != "blocked" || !b.Results[0].Cached {
-		return fmt.Errorf("/v1/match-batch: first entry not a cached block: %+v", b.Results[0])
-	}
-	if b.Results[2].Error == "" {
-		return fmt.Errorf("/v1/match-batch: malformed entry did not error: %+v", b.Results[2])
-	}
-	if b.Profile != "full" {
-		return fmt.Errorf("/v1/match-batch: resolved profile = %q, want full", b.Profile)
-	}
-
-	// The element-hiding stylesheet includes the smoke list's selector.
-	eh, err := c.ElemHide(ctx, api.ElemHideRequest{Document: "http://blog.example.com/"})
-	if err != nil {
-		return err
-	}
-	if eh.CSS == "" {
-		return fmt.Errorf("/v1/elemhide: empty stylesheet")
-	}
-
-	// Reload bumps the snapshot version and purges the cache.
-	rl, err := c.Reload(ctx)
-	if err != nil {
-		return err
-	}
-	if rl.Snapshot != lists.Snapshot+1 {
-		return fmt.Errorf("/v1/reload: want snapshot v%d, got v%d", lists.Snapshot+1, rl.Snapshot)
-	}
-	if m, err = c.Match(ctx, blocked); err != nil {
-		return err
-	}
-	if m.Cached {
-		return fmt.Errorf("/v1/match: cache survived the reload: %+v", m)
-	}
-
-	// Rollback republishes the pre-reload snapshot as a new generation.
-	rb, err := c.Rollback(ctx)
-	if err != nil {
-		return err
-	}
-	if rb.Snapshot != rl.Snapshot+1 || rb.RollbackOf != lists.Snapshot {
-		return fmt.Errorf("/v1/rollback: want v%d rolling back to v%d, got %+v",
-			rl.Snapshot+1, lists.Snapshot, rb)
-	}
-	after, err := c.Lists(ctx)
-	if err != nil {
-		return err
-	}
-	if after.RollbackOf != lists.Snapshot {
-		return fmt.Errorf("/v1/lists: snapshot does not carry rollback provenance: %+v", after)
-	}
-	// Profiles ride through reload and rollback: the set is a property of
-	// the configuration, re-registered on every rebuilt engine.
-	if len(after.Profiles) != 2 {
-		return fmt.Errorf("/v1/lists: profiles lost across reload+rollback: %v", after.Profiles)
-	}
-	// Walking past the oldest retained snapshot is a 409, not a crash.
-	if _, err := c.Rollback(ctx); !api.IsStatus(err, http.StatusConflict) {
-		return fmt.Errorf("POST /v1/rollback past ring: want 409, got %v", err)
-	}
-
-	// Method gating.
-	resp, err := client.Get(base + "/v1/match")
-	if err != nil {
-		return err
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		return fmt.Errorf("GET /v1/match: want 405, got %d", resp.StatusCode)
-	}
-
-	if overload {
-		if err := runOverload(base); err != nil {
-			return err
-		}
-	}
-
-	// Exercise the real signal path: SIGTERM ourselves; run drains. The
-	// drain grace must flip /readyz to 503 while /v1 traffic still lands.
-	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
-		return err
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		resp, err := client.Get(base + "/readyz")
-		if err != nil {
-			return fmt.Errorf("/readyz during drain: %w", err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("/readyz did not flip to 503 during drain (last status %d)", resp.StatusCode)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// runOverload saturates the admission controller and asserts the shed
-// path: heavyweight /v1/match-batch requests pin the concurrency limit
-// (a batch's admission weight covers the whole smoke-sized capacity)
-// while waves of cache-missing /v1/match requests arrive on top. At
-// least one match must be shed with 429 + Retry-After, nothing may 5xx,
-// every admitted batch must complete within its deadline, and /healthz
-// must keep answering while the API is saturated.
-func runOverload(base string) error {
-	client := &http.Client{Timeout: 30 * time.Second}
-
-	// Saturate: the first batch occupies the full capacity, the rest fill
-	// the bounded wait queue, so match waves below find the server busy.
-	const nBatches = 3
-	const batchSize = 4096
-	type batchOutcome struct {
-		status  int
-		err     error
-		elapsed time.Duration
-	}
-	batchRes := make(chan batchOutcome, nBatches)
-	for b := 0; b < nBatches; b++ {
-		q := api.BatchRequest{Requests: make([]api.MatchRequest, 0, batchSize)}
-		for i := 0; i < batchSize; i++ {
-			q.Requests = append(q.Requests, api.MatchRequest{
-				URL:      fmt.Sprintf("http://ads.example.com/overload/b%d/r%d.js", b, i),
-				Document: "http://news.example.com/",
-				Type:     "script",
-			})
-		}
-		go func() {
-			body, err := json.Marshal(q)
-			if err != nil {
-				batchRes <- batchOutcome{err: err}
-				return
-			}
-			start := time.Now()
-			resp, err := client.Post(base+"/v1/match-batch", "application/json", bytes.NewReader(body))
-			if err != nil {
-				batchRes <- batchOutcome{err: err}
-				return
-			}
-			resp.Body.Close()
-			batchRes <- batchOutcome{status: resp.StatusCode, elapsed: time.Since(start)}
-		}()
-	}
-
-	const waveSize = 64
-	const maxWaves = 10
-	var saw200, saw429 int
-	for wave := 0; wave < maxWaves && saw429 == 0; wave++ {
-		type outcome struct {
-			status     int
-			retryAfter string
-			err        error
-		}
-		results := make(chan outcome, waveSize)
-		for i := 0; i < waveSize; i++ {
-			// Distinct URLs so every request misses the decision cache and
-			// holds its admission slot through a real engine match.
-			q := api.MatchRequest{
-				URL:      fmt.Sprintf("http://ads.example.com/overload/w%d/r%d.js", wave, i),
-				Document: "http://news.example.com/",
-				Type:     "script",
-			}
-			go func() {
-				body, err := json.Marshal(q)
-				if err != nil {
-					results <- outcome{err: err}
-					return
-				}
-				resp, err := client.Post(base+"/v1/match", "application/json", bytes.NewReader(body))
-				if err != nil {
-					results <- outcome{err: err}
-					return
-				}
-				resp.Body.Close()
-				results <- outcome{status: resp.StatusCode, retryAfter: resp.Header.Get("Retry-After")}
-			}()
-		}
-		for i := 0; i < waveSize; i++ {
-			out := <-results
-			if out.err != nil {
-				return fmt.Errorf("overload wave %d: %w", wave, out.err)
-			}
-			switch {
-			case out.status == http.StatusOK:
-				saw200++
-			case out.status == http.StatusTooManyRequests:
-				saw429++
-				if out.retryAfter == "" {
-					return fmt.Errorf("overload: 429 without Retry-After")
-				}
-			default:
-				return fmt.Errorf("overload: unexpected status %d (only 200 and 429 are acceptable)", out.status)
-			}
-		}
-		// Liveness must survive saturation.
-		if err := checkProbe(client, base+"/healthz", http.StatusOK); err != nil {
-			return fmt.Errorf("overload: %w", err)
-		}
-	}
-	if saw429 == 0 {
-		return fmt.Errorf("overload: no request shed across %d waves of %d", maxWaves, waveSize)
-	}
-	// Admitted heavyweight requests must complete, promptly — the shed
-	// path protects their latency instead of queueing an unbounded
-	// backlog. A batch may itself lose the queue race to a match wave and
-	// be shed; that is shedding working, as long as one batch got through.
-	var worst time.Duration
-	var batchOK, batchShed int
-	for b := 0; b < nBatches; b++ {
-		out := <-batchRes
-		switch {
-		case out.err != nil:
-			return fmt.Errorf("overload: batch request failed: %w", out.err)
-		case out.status == http.StatusOK:
-			batchOK++
-			if out.elapsed > worst {
-				worst = out.elapsed
-			}
-		case out.status == http.StatusTooManyRequests:
-			batchShed++
-		default:
-			return fmt.Errorf("overload: batch got status %d (only 200 and 429 are acceptable)", out.status)
-		}
-	}
-	if batchOK == 0 {
-		return fmt.Errorf("overload: every batch shed; admitted requests should still be served")
-	}
-	log.Printf("smoke: overload phase: %d matches served, %d matches shed, %d/%d batches admitted (worst %s), %d batches shed",
-		saw200, saw429, batchOK, nBatches, worst.Round(time.Millisecond), batchShed)
-	return nil
-}
-
-// checkProbe asserts one probe endpoint's status code.
-func checkProbe(client *http.Client, url string, want int) error {
-	resp, err := client.Get(url)
-	if err != nil {
-		return err
-	}
-	resp.Body.Close()
-	if resp.StatusCode != want {
-		return fmt.Errorf("%s: want %d, got %d", url, want, resp.StatusCode)
-	}
-	return nil
-}
-
-// checkTrace asserts the X-AA-Trace response header: minted when absent,
-// echoed verbatim when the client sends one.
-func checkTrace(client *http.Client, base string) error {
-	req, err := http.NewRequest(http.MethodGet, base+"/v1/lists", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return err
-	}
-	resp.Body.Close()
-	if resp.Header.Get("X-AA-Trace") == "" {
-		return fmt.Errorf("/v1/lists: no X-AA-Trace response header")
-	}
-	req, err = http.NewRequest(http.MethodGet, base+"/v1/lists", nil)
-	if err != nil {
-		return err
-	}
-	req.Header.Set("X-AA-Trace", "smoketrace01")
-	resp, err = client.Do(req)
-	if err != nil {
-		return err
-	}
-	resp.Body.Close()
-	if got := resp.Header.Get("X-AA-Trace"); got != "smoketrace01" {
-		return fmt.Errorf("/v1/lists: inbound trace id not honored: got %q", got)
-	}
-	return nil
-}
-
-// checkMetrics asserts /metrics serves the Prometheus text format with
-// the per-list filter-attribution families.
-func checkMetrics(client *http.Client, base string) error {
-	resp, err := client.Get(base + "/metrics")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("/metrics: status %d", resp.StatusCode)
-	}
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		return err
-	}
-	body := buf.String()
-	for _, want := range []string{
-		"# TYPE aa_filter_hits_total counter", "aa_snapshot_version", "decision_matches_total",
-		"# TYPE aa_profile_requests_total counter", `aa_profile_requests_total{profile="full"}`,
-	} {
-		if !bytes.Contains(buf.Bytes(), []byte(want)) {
-			return fmt.Errorf("/metrics: missing %q in %d-byte exposition", want, len(body))
-		}
-	}
-	return nil
-}
-
-// smokeProfiles exercises the profile surface: a named profile flips the
-// whitelisted request's verdict, the ?profile= query parameter wins over
-// the body field, an unknown profile is a 400 naming the valid set, and
-// /v1/diff reports the flip with the responsible exception filter.
-func smokeProfiles(ctx context.Context, c *api.Client, client *http.Client, base string, wl api.MatchRequest) error {
-	// Under the easylist-only profile the exception list is out of scope:
-	// the request that full allows is blocked.
-	easy := wl
-	easy.Profile = "easylist"
-	m, err := c.Match(ctx, easy)
-	if err != nil {
-		return err
-	}
-	if m.Verdict != "blocked" {
-		return fmt.Errorf("/v1/match profile=easylist: want blocked, got %+v", m)
-	}
-
-	// The ?profile= query parameter beats the body field: the body still
-	// says easylist, the URL says full, full wins — allowed again.
-	body, err := json.Marshal(easy)
-	if err != nil {
-		return err
-	}
-	resp, err := client.Post(base+"/v1/match?profile=full", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	var qp api.MatchResponse
-	err = json.NewDecoder(resp.Body).Decode(&qp)
-	resp.Body.Close()
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK || qp.Verdict != "allowed" {
-		return fmt.Errorf("?profile=full over body easylist: status %d verdict %q, want 200 allowed",
-			resp.StatusCode, qp.Verdict)
-	}
-
-	// Unknown profiles are a 400 naming the valid set.
-	bad := wl
-	bad.Profile = "nope"
-	if _, err := c.Match(ctx, bad); !api.IsStatus(err, http.StatusBadRequest) ||
-		!strings.Contains(err.Error(), "easylist") {
-		return fmt.Errorf("unknown profile: want 400 naming the valid set, got %v", err)
-	}
-
-	// /v1/diff answers "would the Acceptable Ads exception list have
-	// unblocked this request" in one call and names the filter responsible
-	// for the flip with its source list and line.
-	d, err := c.Diff(ctx, api.DiffRequest{
-		URL: wl.URL, Document: wl.Document, Type: wl.Type,
-		ProfileA: "easylist", ProfileB: "full",
-	})
-	if err != nil {
-		return err
-	}
-	if !d.Flipped || d.A.Verdict != "blocked" || d.B.Verdict != "allowed" {
-		return fmt.Errorf("/v1/diff: want a blocked->allowed flip, got %+v", d)
-	}
-	if d.Responsible == nil || d.Responsible.List != "exceptionrules" ||
-		d.Responsible.Filter == "" || d.Responsible.Line == 0 {
-		return fmt.Errorf("/v1/diff: responsible filter not attributed: %+v", d.Responsible)
-	}
-	log.Printf("smoke: /v1/diff: %s -> %s, responsible %s:%d %s",
-		d.A.Verdict, d.B.Verdict, d.Responsible.List, d.Responsible.Line, d.Responsible.Filter)
-	return nil
-}

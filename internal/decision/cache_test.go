@@ -182,20 +182,20 @@ func TestCacheHitZeroAlloc(t *testing.T) {
 		mustRequest(t, "http://plain.example.org/app.css", "http://plain.example.org/"),
 	}
 	for _, r := range reqs { // populate
-		svc.Match(r)
+		svc.MatchProfile(r, "")
 	}
 	for _, r := range reqs { // all resident now
-		if _, cached := svc.Match(r); !cached {
+		if _, cached, _ := svc.MatchProfile(r, ""); !cached {
 			t.Fatalf("request %s not served from cache on repeat", r.URL)
 		}
 	}
 	allocs := testing.AllocsPerRun(200, func() {
 		for _, r := range reqs {
-			svc.Match(r)
+			svc.MatchProfile(r, "")
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("cache-hit Match allocated %.1f times per run over %d requests, want 0", allocs, len(reqs))
+		t.Errorf("cache-hit MatchProfile allocated %.1f times per run over %d requests, want 0", allocs, len(reqs))
 	}
 }
 

@@ -57,8 +57,8 @@ func TestCanaryRejectsTruncatedSource(t *testing.T) {
 
 	blocked := mustRequest(t, "http://ads.example.com/x.js", "http://news.example.org/")
 	clean := mustRequest(t, "http://fine.example.net/app.js", "http://news.example.org/")
-	wantBlocked, _ := svc.Match(blocked)
-	wantClean, _ := svc.Match(clean)
+	wantBlocked, _, _ := svc.MatchProfile(blocked, "")
+	wantClean, _, _ := svc.MatchProfile(clean, "")
 	if wantBlocked.Verdict != engine.Blocked || wantClean.Verdict != engine.NoMatch {
 		t.Fatalf("baseline verdicts = %v / %v", wantBlocked.Verdict, wantClean.Verdict)
 	}
@@ -93,10 +93,10 @@ func TestCanaryRejectsTruncatedSource(t *testing.T) {
 	}
 
 	// The acceptance bar: no verdict changed.
-	if got, _ := svc.Match(blocked); !reflect.DeepEqual(got, wantBlocked) {
+	if got, _, _ := svc.MatchProfile(blocked, ""); !reflect.DeepEqual(got, wantBlocked) {
 		t.Fatalf("blocked verdict changed after rejected reloads: %+v vs %+v", got, wantBlocked)
 	}
-	if got, _ := svc.Match(clean); !reflect.DeepEqual(got, wantClean) {
+	if got, _, _ := svc.MatchProfile(clean, ""); !reflect.DeepEqual(got, wantClean) {
 		t.Fatalf("clean verdict changed after rejected reloads: %+v vs %+v", got, wantClean)
 	}
 
@@ -212,7 +212,7 @@ func TestRollbackLifecycle(t *testing.T) {
 		}
 	}
 	verdict := func(n string) engine.Verdict {
-		d, _ := svc.Match(mustRequest(t, "http://"+n+".example/ad.js", "http://news.example.org/"))
+		d, _, _ := svc.MatchProfile(mustRequest(t, "http://"+n+".example/ad.js", "http://news.example.org/"), "")
 		return d.Verdict
 	}
 	if v := svc.Snapshot().Version; v != 3 {

@@ -432,19 +432,14 @@ func (s *Service) Snapshot() *Snapshot { return s.cur.Load() }
 // Cache returns the decision cache, nil when caching is disabled.
 func (s *Service) Cache() *Cache { return s.cache }
 
-// Match decides one request against the current snapshot under the
-// default full profile, consulting the decision cache first. The boolean
-// reports whether the decision was served from cache. Sitekey-carrying
-// requests bypass the cache (the sitekey is not part of the cache key).
-func (s *Service) Match(req *engine.Request) (engine.Decision, bool) {
-	d, cached, _ := s.MatchProfile(req, "")
-	return d, cached
-}
-
-// MatchProfile is Match under a named list profile (empty means the
-// default full profile). Decisions are cached per profile — the cache
-// key carries the profile's id, so the same URL under two profiles never
-// shares an entry. An unknown profile is an error naming the valid set.
+// MatchProfile decides one request against the current snapshot under a
+// named list profile (empty means the default full profile), consulting
+// the decision cache first. The boolean reports whether the decision was
+// served from cache. Decisions are cached per profile — the cache key
+// carries the profile's id, so the same URL under two profiles never
+// shares an entry. Sitekey-carrying requests bypass the cache (the
+// sitekey is not part of the cache key). An unknown profile is an error
+// naming the valid set.
 func (s *Service) MatchProfile(req *engine.Request, profile string) (engine.Decision, bool, error) {
 	snap := s.cur.Load()
 	view, pid, err := snap.view(profile)
@@ -453,21 +448,21 @@ func (s *Service) MatchProfile(req *engine.Request, profile string) (engine.Deci
 	}
 	s.countMatches(view.Name(), 1)
 	if s.cache == nil || req.Sitekey != "" {
-		return s.safeMatch(snap, view, req), false, nil
+		return s.safeMatch(snap, view, req, nil), false, nil
 	}
 	if d, ok := s.cache.Get(snap.Version, pid, req); ok {
 		return d, true, nil
 	}
-	d := s.safeMatch(snap, view, req)
+	d := s.safeMatch(snap, view, req, nil)
 	s.cache.Put(snap.Version, pid, req, d)
 	return d, false, nil
 }
 
-// MatchCached answers a request from the decision cache only — the
+// matchCached answers a request from the decision cache only — the
 // degraded-mode path under sustained overload: a hit is served without
 // touching the engine, a miss reports !ok and is shed by the caller.
 // An unknown profile is a miss: degraded mode sheds rather than explains.
-func (s *Service) MatchCached(req *engine.Request, profile string) (engine.Decision, bool) {
+func (s *Service) matchCached(req *engine.Request, profile string) (engine.Decision, bool) {
 	if s.cache == nil || req.Sitekey != "" {
 		return engine.Decision{}, false
 	}
@@ -516,42 +511,29 @@ func (s *Service) profileCounter(name string) *obs.Counter {
 // reproduce.
 const maxQuarantineRetries = 3
 
-// safeMatch evaluates req on snap's engine with poison-pill containment:
-// a panic during evaluation quarantines the panicking filter(s) — an
-// atomic per-filter disable shared by every evaluation path — purges the
-// decision cache (entries may predate the quarantine) and retries. When
-// no culprit can be identified the request fails open to NoMatch: under
-// the acceptable-ads threat model, serving one request unfiltered beats
-// crash-looping the decision service for everyone.
-func (s *Service) safeMatch(snap *Snapshot, view *engine.View, req *engine.Request) engine.Decision {
-	return s.safeMatchTrail(snap, view, req, nil)
-}
-
-// safeMatchTrail is safeMatch with an optional explain trail; the trail
-// is reset before every evaluation round so a retry after a quarantine
-// never reports provenance from the panicked attempt. Quarantine is a
-// property of the shared filter universe: the prober runs on the full
-// engine, and a disabled filter disappears from every profile view at
-// once.
-func (s *Service) safeMatchTrail(snap *Snapshot, view *engine.View, req *engine.Request, tr *engine.Trail) engine.Decision {
-	for round := 0; ; round++ {
-		if tr != nil {
-			*tr = engine.Trail{}
-		}
-		d, panicked := matchNoPanic(view, req, tr)
-		if !panicked {
-			return d
-		}
+// contained runs eval, one engine evaluation of req on snap, under the
+// poison-pill policy every evaluation the service makes shares: a panic
+// quarantines the panicking filter(s) — an atomic per-filter disable
+// shared by every evaluation path, and, since the prober runs on the full
+// engine, by every profile view at once — records each on the flight
+// recorder, purges the decision cache (entries may predate the
+// quarantine) and retries. It reports false when the request must fail
+// open: no culprit can be identified, or panics outlast
+// maxQuarantineRetries rounds. Under the acceptable-ads threat model,
+// serving one request unfiltered beats crash-looping the decision service
+// for everyone. op names the evaluation in logs.
+func (s *Service) contained(snap *Snapshot, req *engine.Request, op string, eval func()) bool {
+	for round := 0; panics(eval); round++ {
 		if round >= maxQuarantineRetries {
-			s.logger.Error("match still panicking after quarantine rounds; failing open",
+			s.logger.Error(op+" still panicking after quarantine rounds; failing open",
 				"url", req.URL, "rounds", round)
-			return engine.Decision{}
+			return false
 		}
 		quarantined := snap.Engine.QuarantinePanicking(req)
 		if len(quarantined) == 0 {
-			s.logger.Error("match panicked but no filter reproduces it; failing open",
+			s.logger.Error(op+" panicked but no filter reproduces it; failing open",
 				"url", req.URL)
-			return engine.Decision{}
+			return false
 		}
 		s.quarantines.Add(int64(len(quarantined)))
 		for _, q := range quarantined {
@@ -566,39 +548,43 @@ func (s *Service) safeMatchTrail(snap *Snapshot, view *engine.View, req *engine.
 			s.cache.Purge()
 		}
 	}
+	return true
 }
 
-// matchNoPanic runs one engine evaluation under recover, with the
-// explain trail when tr is non-nil.
-func matchNoPanic(v *engine.View, req *engine.Request, tr *engine.Trail) (d engine.Decision, panicked bool) {
-	defer func() {
-		if recover() != nil {
-			panicked = true
+// panics runs f under recover and reports whether it panicked.
+func panics(f func()) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	f()
+	return false
+}
+
+// safeMatch evaluates req on view under the poison-pill policy, with the
+// explain trail when tr is non-nil; the trail is reset before every round
+// so a retry after a quarantine never reports provenance from the
+// panicked attempt. A request that fails open decides NoMatch.
+func (s *Service) safeMatch(snap *Snapshot, view *engine.View, req *engine.Request, tr *engine.Trail) (d engine.Decision) {
+	s.contained(snap, req, "match", func() {
+		if tr == nil {
+			d = view.MatchRequest(req)
+			return
 		}
-	}()
-	if tr != nil {
-		return v.MatchRequest(req, engine.WithExplain(tr)), false
-	}
-	return v.MatchRequest(req), false
+		*tr = engine.Trail{}
+		d = view.MatchRequest(req, engine.WithExplain(tr))
+	})
+	return d
 }
 
-// MatchBatch decides a batch of requests against one consistent
-// snapshot, which it returns so callers report the exact engine
-// generation the decisions came from (a reload may land mid-batch; the
-// batch keeps matching on the snapshot it pinned). The boolean slice
-// marks which decisions were served from cache. ctx is checked
-// periodically so a large batch against pathological filters is cut off
-// by the caller's deadline instead of running to completion; on
-// cancellation the partial results are discarded and ctx's error
-// returned.
-func (s *Service) MatchBatch(ctx context.Context, reqs []*engine.Request) ([]engine.Decision, []bool, *Snapshot, error) {
-	out, cached, snap, _, err := s.MatchBatchProfile(ctx, reqs, "")
-	return out, cached, snap, err
-}
-
-// MatchBatchProfile is MatchBatch under one named profile for the whole
-// batch (empty means the default full profile); the resolved profile
-// name is returned so callers report exactly what they were served.
+// MatchBatchProfile decides a batch of requests under one named profile
+// for the whole batch (empty means the default full profile) against one
+// consistent snapshot. It returns that snapshot, so callers report the
+// exact engine generation the decisions came from (a reload may land
+// mid-batch; the batch keeps matching on the snapshot it pinned), and
+// the resolved profile name, so they report exactly what they were
+// served. The boolean slice marks which decisions were served from
+// cache. ctx is checked periodically so a large batch against
+// pathological filters is cut off by the caller's deadline instead of
+// running to completion; on cancellation the partial results are
+// discarded and ctx's error returned.
 func (s *Service) MatchBatchProfile(ctx context.Context, reqs []*engine.Request, profile string) ([]engine.Decision, []bool, *Snapshot, string, error) {
 	snap := s.cur.Load()
 	view, pid, err := snap.view(profile)
@@ -615,30 +601,24 @@ func (s *Service) MatchBatchProfile(ctx context.Context, reqs []*engine.Request,
 			}
 		}
 		if s.cache == nil || req.Sitekey != "" {
-			out[i] = s.safeMatch(snap, view, req)
+			out[i] = s.safeMatch(snap, view, req, nil)
 			continue
 		}
 		if d, ok := s.cache.Get(snap.Version, pid, req); ok {
 			out[i], cached[i] = d, true
 			continue
 		}
-		out[i] = s.safeMatch(snap, view, req)
+		out[i] = s.safeMatch(snap, view, req, nil)
 		s.cache.Put(snap.Version, pid, req, out[i])
 	}
 	s.countMatches(view.Name(), len(reqs))
 	return out, cached, snap, view.Name(), nil
 }
 
-// ElemHideCSS returns the element-hiding stylesheet the current snapshot
-// injects for a page on docHost, under the default full profile.
-func (s *Service) ElemHideCSS(docHost string) string {
-	css, _ := s.ElemHideCSSProfile(docHost, "")
-	return css
-}
-
-// ElemHideCSSProfile is ElemHideCSS under a named profile: only hide
-// rules (and hide exceptions) from the profile's lists reach the
-// stylesheet.
+// ElemHideCSSProfile returns the element-hiding stylesheet the current
+// snapshot injects for a page on docHost under a named profile (empty
+// means the default full profile): only hide rules (and hide exceptions)
+// from the profile's lists reach the stylesheet.
 func (s *Service) ElemHideCSSProfile(docHost, profile string) (string, error) {
 	snap := s.cur.Load()
 	view, _, err := snap.view(profile)
@@ -669,46 +649,14 @@ func (s *Service) Diff(req *engine.Request, profileA, profileB string) (engine.D
 	s.matches.Inc()
 	s.profileHit(va.Name())
 	s.profileHit(vb.Name())
-	for round := 0; ; round++ {
-		res, panicked := diffNoPanic(snap.Engine, req, va, vb)
-		if !panicked {
-			return res, snap, nil
-		}
-		if round >= maxQuarantineRetries {
-			s.logger.Error("diff still panicking after quarantine rounds; failing open",
-				"url", req.URL, "rounds", round)
-			return engine.DiffResult{
-				A: engine.DiffSide{Profile: va.Name(), Verdict: engine.NoMatch.String()},
-				B: engine.DiffSide{Profile: vb.Name(), Verdict: engine.NoMatch.String()},
-			}, snap, nil
-		}
-		quarantined := snap.Engine.QuarantinePanicking(req)
-		if len(quarantined) == 0 {
-			s.logger.Error("diff panicked but no filter reproduces it; failing open", "url", req.URL)
-			return engine.DiffResult{
-				A: engine.DiffSide{Profile: va.Name(), Verdict: engine.NoMatch.String()},
-				B: engine.DiffSide{Profile: vb.Name(), Verdict: engine.NoMatch.String()},
-			}, snap, nil
-		}
-		s.quarantines.Add(int64(len(quarantined)))
-		for _, q := range quarantined {
-			s.logger.Error("filter quarantined after panic",
-				"filter", q.Filter, "list", q.List, "line", q.Line, "url", req.URL)
-		}
-		if s.cache != nil {
-			s.cache.Purge()
+	var res engine.DiffResult
+	if !s.contained(snap, req, "diff", func() { res = snap.Engine.Diff(req, va, vb) }) {
+		res = engine.DiffResult{
+			A: engine.DiffSide{Profile: va.Name(), Verdict: engine.NoMatch.String()},
+			B: engine.DiffSide{Profile: vb.Name(), Verdict: engine.NoMatch.String()},
 		}
 	}
-}
-
-// diffNoPanic runs one differential evaluation under recover.
-func diffNoPanic(e *engine.Engine, req *engine.Request, a, b *engine.View) (res engine.DiffResult, panicked bool) {
-	defer func() {
-		if recover() != nil {
-			panicked = true
-		}
-	}()
-	return e.Diff(req, a, b), false
+	return res, snap, nil
 }
 
 // Reload fetches the lists from the Source (with retries), builds a fresh

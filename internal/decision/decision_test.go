@@ -41,11 +41,11 @@ func TestServiceMatchAndCache(t *testing.T) {
 	svc := newTestService(t, 1024)
 
 	req := mustRequest(t, "http://ads.example.com/x.js", "http://news.example.org/")
-	d, cached := svc.Match(req)
+	d, cached, _ := svc.MatchProfile(req, "")
 	if d.Verdict != engine.Blocked || cached {
 		t.Fatalf("first match = %v cached=%v, want blocked uncached", d.Verdict, cached)
 	}
-	d2, cached := svc.Match(req)
+	d2, cached, _ := svc.MatchProfile(req, "")
 	if !cached {
 		t.Fatal("repeat match not served from cache")
 	}
@@ -54,7 +54,7 @@ func TestServiceMatchAndCache(t *testing.T) {
 	}
 
 	allowed := mustRequest(t, "http://ads.example.com/acceptable/ad.js", "http://news.example.org/")
-	if d, _ := svc.Match(allowed); d.Verdict != engine.Allowed {
+	if d, _, _ := svc.MatchProfile(allowed, ""); d.Verdict != engine.Allowed {
 		t.Fatalf("exception verdict = %v, want allowed", d.Verdict)
 	}
 
@@ -69,7 +69,7 @@ func TestSitekeyBypassesCache(t *testing.T) {
 	req := mustRequest(t, "http://ads.example.com/x.js", "http://news.example.org/")
 	req.Sitekey = "c2l0ZWtleQ"
 	for i := 0; i < 2; i++ {
-		if _, cached := svc.Match(req); cached {
+		if _, cached, _ := svc.MatchProfile(req, ""); cached {
 			t.Fatal("sitekey request served from cache")
 		}
 	}
@@ -81,8 +81,8 @@ func TestSitekeyBypassesCache(t *testing.T) {
 func TestReloadSwapsSnapshotAndPurgesCache(t *testing.T) {
 	svc := newTestService(t, 1024)
 	req := mustRequest(t, "http://ads.example.com/x.js", "http://news.example.org/")
-	svc.Match(req)
-	svc.Match(req)
+	svc.MatchProfile(req, "")
+	svc.MatchProfile(req, "")
 	if svc.Cache().Len() == 0 {
 		t.Fatal("decision never cached")
 	}
@@ -101,7 +101,7 @@ func TestReloadSwapsSnapshotAndPurgesCache(t *testing.T) {
 	if svc.Cache().Len() != 0 {
 		t.Fatal("cache not purged on snapshot swap")
 	}
-	if _, cached := svc.Match(req); cached {
+	if _, cached, _ := svc.MatchProfile(req, ""); cached {
 		t.Fatal("match served from cache right after a swap")
 	}
 }
@@ -139,7 +139,7 @@ func TestReloadFailureKeepsOldSnapshot(t *testing.T) {
 	}
 	// Degraded, not down: matching still answers on the old snapshot.
 	req := mustRequest(t, "http://ads.example.com/x.js", "http://news.example.org/")
-	if d, _ := svc.Match(req); d.Verdict != engine.Blocked {
+	if d, _, _ := svc.MatchProfile(req, ""); d.Verdict != engine.Blocked {
 		t.Fatalf("verdict after failed reload = %v, want blocked", d.Verdict)
 	}
 	if st := svc.Stats(); st.ReloadFailures != 1 {
@@ -154,7 +154,7 @@ func TestMatchBatchPinsOneSnapshot(t *testing.T) {
 		mustRequest(t, "http://fine.example.net/app.js", "http://news.example.org/"),
 		mustRequest(t, "http://ads.example.com/x.js", "http://news.example.org/"),
 	}
-	decisions, cached, snap, err := svc.MatchBatch(context.Background(), reqs)
+	decisions, cached, snap, _, err := svc.MatchBatchProfile(context.Background(), reqs, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestMatchBatchPinsOneSnapshot(t *testing.T) {
 		t.Fatalf("batch sizes: %d decisions, %d flags", len(decisions), len(cached))
 	}
 	if snap != svc.Snapshot() {
-		t.Fatal("MatchBatch did not return the snapshot it matched against")
+		t.Fatal("MatchBatchProfile did not return the snapshot it matched against")
 	}
 	if decisions[0].Verdict != engine.Blocked || decisions[1].Verdict != engine.NoMatch {
 		t.Fatalf("verdicts = %v, %v", decisions[0].Verdict, decisions[1].Verdict)
@@ -182,8 +182,8 @@ func TestMatchBatchHonorsContext(t *testing.T) {
 	reqs := []*engine.Request{
 		mustRequest(t, "http://ads.example.com/x.js", "http://news.example.org/"),
 	}
-	if _, _, _, err := svc.MatchBatch(ctx, reqs); err == nil {
-		t.Fatal("MatchBatch ran to completion on a cancelled context")
+	if _, _, _, _, err := svc.MatchBatchProfile(ctx, reqs, ""); err == nil {
+		t.Fatal("MatchBatchProfile ran to completion on a cancelled context")
 	}
 }
 
@@ -217,7 +217,7 @@ func TestCaseSensitiveFiltersNotCrossCached(t *testing.T) {
 			if want.Verdict != wants[i] {
 				t.Fatalf("oracle verdict for %s = %v, want %v", u, want.Verdict, wants[i])
 			}
-			got, cached := svc.Match(req)
+			got, cached, _ := svc.MatchProfile(req, "")
 			if cached != (round == 1) {
 				t.Errorf("round %d %s: cached = %v", round, u, cached)
 			}
@@ -230,10 +230,10 @@ func TestCaseSensitiveFiltersNotCrossCached(t *testing.T) {
 
 func TestElemHideCSS(t *testing.T) {
 	svc := newTestService(t, 0)
-	if css := svc.ElemHideCSS("blog.example.com"); !strings.Contains(css, ".ad-box") {
+	if css, _ := svc.ElemHideCSSProfile("blog.example.com", ""); !strings.Contains(css, ".ad-box") {
 		t.Errorf("stylesheet for blog.example.com = %q, want .ad-box hidden", css)
 	}
-	if css := svc.ElemHideCSS("news.example.org"); strings.Contains(css, ".ad-box") {
+	if css, _ := svc.ElemHideCSSProfile("news.example.org", ""); strings.Contains(css, ".ad-box") {
 		t.Errorf("stylesheet for news.example.org = %q, want .ad-box excepted", css)
 	}
 }
@@ -283,7 +283,7 @@ func TestSwapUnderLoad(t *testing.T) {
 				default:
 				}
 				j := (i + g) % len(reqs)
-				d, _ := svc.Match(reqs[j])
+				d, _, _ := svc.MatchProfile(reqs[j], "")
 				if d.Verdict != wants[j] {
 					t.Errorf("reader %d: %s = %v, want %v", g, urls[j], d.Verdict, wants[j])
 					return
@@ -387,7 +387,7 @@ func TestCacheCorrectnessDifferential(t *testing.T) {
 		}
 		// The oracle bypasses the cache on the same frozen snapshot.
 		want := snap.Engine.MatchRequest(req)
-		got, cached := svc.Match(req)
+		got, cached, _ := svc.MatchProfile(req, "")
 		if cached {
 			hits++
 		}

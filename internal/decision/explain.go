@@ -43,20 +43,13 @@ type Explanation struct {
 	Decision engine.Decision
 }
 
-// Explain runs req through the current snapshot with the match trail
-// enabled, under the default full profile. It evaluates in the same
-// default instrumented mode as Match, so the verdict is always identical
-// to what /v1/match returns for the same request against the same
-// snapshot.
-func (s *Service) Explain(req *engine.Request) Explanation {
-	ex, _ := s.ExplainProfile(req, "")
-	return ex
-}
-
-// ExplainProfile is Explain under a named list profile (empty means the
-// default full profile): the trail gates exactly the candidates the
-// profile's view would, so "why did easylist block this when full did
-// not" is answerable filter by filter.
+// ExplainProfile runs req through the current snapshot with the match
+// trail enabled, under a named list profile (empty means the default
+// full profile). It evaluates in the same default instrumented mode as
+// MatchProfile, so the verdict is always identical to what /v1/match
+// returns for the same request against the same snapshot, and the trail
+// gates exactly the candidates the profile's view would, so "why did
+// easylist block this when full did not" is answerable filter by filter.
 func (s *Service) ExplainProfile(req *engine.Request, profile string) (Explanation, error) {
 	snap := s.cur.Load()
 	view, pid, err := snap.view(profile)
@@ -65,7 +58,7 @@ func (s *Service) ExplainProfile(req *engine.Request, profile string) (Explanati
 	}
 	s.profileHit(view.Name())
 	tr := &engine.Trail{}
-	d := s.safeMatchTrail(snap, view, req, tr)
+	d := s.safeMatch(snap, view, req, tr)
 	ex := Explanation{
 		Trail:    tr,
 		Snapshot: snap.Version,

@@ -20,7 +20,7 @@ func TestExplainNamesWinningFilters(t *testing.T) {
 	svc := newTestService(t, 1024)
 
 	blocked := mustRequest(t, "http://ads.example.com/x.js", "http://news.example.org/")
-	ex := svc.Explain(blocked)
+	ex, _ := svc.ExplainProfile(blocked, "")
 	if ex.Decision.Verdict != engine.Blocked {
 		t.Fatalf("verdict = %v, want blocked", ex.Decision.Verdict)
 	}
@@ -32,7 +32,7 @@ func TestExplainNamesWinningFilters(t *testing.T) {
 	}
 
 	allowed := mustRequest(t, "http://ads.example.com/acceptable/ad.js", "http://news.example.org/")
-	ex = svc.Explain(allowed)
+	ex, _ = svc.ExplainProfile(allowed, "")
 	if ex.Decision.Verdict != engine.Allowed {
 		t.Fatalf("verdict = %v, want allowed", ex.Decision.Verdict)
 	}
@@ -48,7 +48,7 @@ func TestExplainCacheHitPinsSnapshot(t *testing.T) {
 	svc := newTestService(t, 1024)
 	req := mustRequest(t, "http://ads.example.com/x.js", "http://news.example.org/")
 
-	ex := svc.Explain(req)
+	ex, _ := svc.ExplainProfile(req, "")
 	if ex.CacheHit {
 		t.Fatal("explain reported a cache hit before anything was cached")
 	}
@@ -57,10 +57,10 @@ func TestExplainCacheHitPinsSnapshot(t *testing.T) {
 	}
 
 	// Warm the cache the way a real client would.
-	svc.Match(req)
+	svc.MatchProfile(req, "")
 	before := svc.Stats()
 
-	ex = svc.Explain(req)
+	ex, _ = svc.ExplainProfile(req, "")
 	if !ex.CacheHit {
 		t.Fatal("explain did not report the cached entry")
 	}
@@ -82,7 +82,7 @@ func TestExplainCacheHitPinsSnapshot(t *testing.T) {
 	if _, err := svc.Reload(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	ex = svc.Explain(req)
+	ex, _ = svc.ExplainProfile(req, "")
 	if ex.CacheHit {
 		t.Error("explain reported a cache hit across a snapshot swap")
 	}
@@ -236,7 +236,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 
-	svc.Match(mustRequest(t, "http://ads.example.com/x.js", "http://news.example.org/"))
+	svc.MatchProfile(mustRequest(t, "http://ads.example.com/x.js", "http://news.example.org/"), "")
 	after := scrape()
 	if !strings.Contains(after, `aa_filter_hits_total{list="easylist"} 1`) {
 		t.Errorf("attribution counter did not move after a match:\n%s", after)
@@ -249,8 +249,8 @@ func TestFilterStatsEndpoint(t *testing.T) {
 	srv := httptest.NewServer(Handler(svc, HandlerConfig{}))
 	defer srv.Close()
 
-	svc.Match(mustRequest(t, "http://ads.example.com/x.js", "http://news.example.org/"))
-	svc.Match(mustRequest(t, "http://ads.example.com/y.js", "http://news.example.org/"))
+	svc.MatchProfile(mustRequest(t, "http://ads.example.com/x.js", "http://news.example.org/"), "")
+	svc.MatchProfile(mustRequest(t, "http://ads.example.com/y.js", "http://news.example.org/"), "")
 
 	resp, err := http.Get(srv.URL + "/debug/filters?n=3")
 	if err != nil {

@@ -490,7 +490,7 @@ func (s *Service) matchCacheOnly(ctx context.Context, w http.ResponseWriter, r *
 	if err != nil {
 		return false
 	}
-	d, ok := s.MatchCached(req, resolveProfile(r, q.Profile))
+	d, ok := s.matchCached(req, resolveProfile(r, q.Profile))
 	if !ok {
 		return false
 	}

@@ -56,7 +56,7 @@ func TestBatchBookkeeping(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		reqs = append(reqs, mustRequest(t, "http://ads.example.com/x.js", "http://news.example.org/"))
 	}
-	if _, _, _, err := svc.MatchBatch(context.Background(), reqs); err != nil {
+	if _, _, _, _, err := svc.MatchBatchProfile(context.Background(), reqs, ""); err != nil {
 		t.Fatal(err)
 	}
 	st := svc.Stats()
@@ -65,7 +65,7 @@ func TestBatchBookkeeping(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, _, err := svc.MatchBatch(ctx, reqs); err == nil {
+	if _, _, _, _, err := svc.MatchBatchProfile(ctx, reqs, ""); err == nil {
 		t.Fatal("cancelled batch ran to completion")
 	}
 	if st := svc.Stats(); st.Matches != 100 || st.ProfileRequests["full"] != 100 {
@@ -86,14 +86,14 @@ func TestCacheHitDerivesNothing(t *testing.T) {
 	}
 	derivations := reg.Counter("engine.request.derivations")
 	const url, doc = "http://ads.example.com/x.js", "http://news.example.org/"
-	if _, cached := svc.Match(mustRequest(t, url, doc)); cached {
+	if _, cached, _ := svc.MatchProfile(mustRequest(t, url, doc), ""); cached {
 		t.Fatal("first match served from cache")
 	}
 	if got := derivations.Value(); got != 1 {
 		t.Fatalf("derivations after one miss = %d, want 1", got)
 	}
 	for i := 0; i < 10; i++ {
-		if _, cached := svc.Match(mustRequest(t, url, doc)); !cached {
+		if _, cached, _ := svc.MatchProfile(mustRequest(t, url, doc), ""); !cached {
 			t.Fatal("repeat match missed the cache")
 		}
 	}

@@ -34,8 +34,8 @@ func TestWarmStartServesPersistedSnapshot(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, manifestFile)); err != nil {
 		t.Fatalf("publish did not persist a manifest: %v", err)
 	}
-	wantBlocked, _ := svc1.Match(mustRequest(t,
-		"http://ads.example.com/x.js", "http://news.example.org/"))
+	wantBlocked, _, _ := svc1.MatchProfile(mustRequest(t,
+		"http://ads.example.com/x.js", "http://news.example.org/"), "")
 	if wantBlocked.Verdict != engine.Blocked {
 		t.Fatalf("baseline verdict = %v", wantBlocked.Verdict)
 	}
@@ -61,8 +61,8 @@ func TestWarmStartServesPersistedSnapshot(t *testing.T) {
 	if !svc2.Ready() {
 		t.Error("warm-started service not ready")
 	}
-	d, _ := svc2.Match(mustRequest(t,
-		"http://ads.example.com/x.js", "http://news.example.org/"))
+	d, _, _ := svc2.MatchProfile(mustRequest(t,
+		"http://ads.example.com/x.js", "http://news.example.org/"), "")
 	if d.Verdict != engine.Blocked {
 		t.Fatalf("warm-started verdict = %v, want blocked", d.Verdict)
 	}
@@ -172,8 +172,8 @@ func TestWarmStartBinaryFallsBackToLists(t *testing.T) {
 				t.Errorf("warmStart=%t binaryStart=%t, want raw-list fallback (true, false)",
 					snap.WarmStart, snap.BinaryStart)
 			}
-			d, _ := svc.Match(mustRequest(t,
-				"http://ads.example.com/x.js", "http://news.example.org/"))
+			d, _, _ := svc.MatchProfile(mustRequest(t,
+				"http://ads.example.com/x.js", "http://news.example.org/"), "")
 			if d.Verdict != engine.Blocked {
 				t.Fatalf("fallback verdict = %v, want blocked", d.Verdict)
 			}
@@ -343,8 +343,8 @@ func TestPersistGCKeepsOnlyCurrentVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, _ := svc2.Match(mustRequest(t,
-		"http://ads.example.com/x.js", "http://news.example.org/"))
+	d, _, _ := svc2.MatchProfile(mustRequest(t,
+		"http://ads.example.com/x.js", "http://news.example.org/"), "")
 	if d.Verdict != engine.Blocked {
 		t.Fatalf("round-tripped verdict = %v, want blocked", d.Verdict)
 	}

@@ -244,7 +244,7 @@ func TestPoisonFilterQuarantinedThroughHTTP(t *testing.T) {
 
 	// The poisoned filter is out of service: the verdict it used to
 	// produce is gone, and the quarantine is reported.
-	d, _ := svc.Match(mustRequest(t, "http://ads.example.com/x.js", "http://news.example.org/"))
+	d, _, _ := svc.MatchProfile(mustRequest(t, "http://ads.example.com/x.js", "http://news.example.org/"), "")
 	if d.Verdict != engine.NoMatch {
 		t.Fatalf("verdict after quarantine = %v, want no-match (filter disabled)", d.Verdict)
 	}
@@ -258,7 +258,7 @@ func TestPoisonFilterQuarantinedThroughHTTP(t *testing.T) {
 	}
 
 	// Unpoisoned filters on the same snapshot keep working.
-	d, _ = svc.Match(mustRequest(t, "http://track.io/r.js", "http://news.example.org/"))
+	d, _, _ = svc.MatchProfile(mustRequest(t, "http://track.io/r.js", "http://news.example.org/"), "")
 	if d.Verdict != engine.Blocked {
 		t.Fatalf("unrelated filter after quarantine = %v, want blocked", d.Verdict)
 	}
@@ -275,5 +275,35 @@ func TestPoisonFilterQuarantinedThroughHTTP(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "aa_filters_quarantined 1") {
 		t.Error("/metrics does not report aa_filters_quarantined 1")
+	}
+}
+
+// TestDiffPoisonFilterQuarantined: a filter that panics under Diff goes
+// through the same containment as a match — quarantined, counted and
+// recorded on the flight-recorder ring — and the diff is answered by the
+// retry without it.
+func TestDiffPoisonFilterQuarantined(t *testing.T) {
+	svc := newProfileService(t, 1024)
+	const poisoned = "||ads.example.com^"
+	if n := svc.Snapshot().Engine.PoisonFilter(poisoned); n == 0 {
+		t.Fatalf("PoisonFilter(%q) armed no filter", poisoned)
+	}
+	req := mustRequest(t, "http://ads.example.com/x.js", "http://news.example.org/")
+	res, _, err := svc.Diff(req, "easylist", "full")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.A.Verdict != engine.NoMatch.String() || res.B.Verdict != engine.NoMatch.String() {
+		t.Fatalf("diff after quarantine = %+v, want no-match on both sides (filter disabled)", res)
+	}
+	if got := svc.Stats().QuarantinedFilters; got != 1 {
+		t.Errorf("QuarantinedFilters = %d, want 1", got)
+	}
+	var last obs.Event
+	if evs := obs.DefaultRing.Events(); len(evs) > 0 {
+		last = evs[len(evs)-1]
+	}
+	if last.Name != "filter.quarantined" || !strings.Contains(last.Detail, poisoned) {
+		t.Errorf("last flight-recorder event = %+v, want the diff's filter.quarantined for %q", last, poisoned)
 	}
 }
