@@ -145,7 +145,7 @@ func parseFlags(args []string) config {
 	fs.DurationVar(&cfg.drainGrace, "drain-grace", 0, "how long readiness stays false before the listener drains (lets load balancers stop routing)")
 	fs.IntVar(&cfg.maxRetries, "max-retries", 2, "reload fetch retries after the first attempt")
 	fs.StringVar(&cfg.stateDir, "state-dir", "", "persist published snapshots here and warm-start from the last one (empty = off)")
-	fs.IntVar(&cfg.snapshots, "snapshots", decision.DefaultKeepSnapshots, "how many published snapshots the rollback ring retains")
+	fs.IntVar(&cfg.snapshots, "snapshots", decision.DefaultKeepSnapshots, "how many generations the rollback ring retains, the serving one included (kept in -state-dir when set, else in memory)")
 	fs.Int64Var(&cfg.shedCapacity, "shed-capacity", decision.DefaultShedCapacity, "admission weight allowed in flight at once (0 = shedding off)")
 	fs.Int64Var(&cfg.shedQueue, "shed-queue", decision.DefaultShedQueue, "bounded admission wait queue (negative = shed immediately when full)")
 	fs.StringVar(&cfg.canaryProbes, "canary-probes", "", "JSON file with golden probes replayed against every candidate snapshot")

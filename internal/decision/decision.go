@@ -14,20 +14,20 @@
 package decision
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"io/fs"
 	"log/slog"
 	"os"
-	"path/filepath"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"acceptableads/internal/decision/api"
 	"acceptableads/internal/engine"
-	"acceptableads/internal/engine/snapbin"
 	"acceptableads/internal/filter"
 	"acceptableads/internal/obs"
 	"acceptableads/internal/retry"
@@ -112,30 +112,13 @@ func (s filesSource) Load(context.Context) ([]engine.NamedList, error) {
 	return out, nil
 }
 
-func sortedKeys(m map[string]string) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)
 	}
-	sortStrings(out)
+	sort.Strings(out)
 	return out
-}
-
-func sortedProfileNames(m map[string][]string) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sortStrings(out)
-	return out
-}
-
-func sortStrings(out []string) {
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
 }
 
 // Subscriptions is a Source fetching every list of sub (conditional
@@ -193,14 +176,15 @@ type Config struct {
 	// the zero value applies the default invariants (non-empty engine,
 	// parse-error rate and filter-delta bounds) with no probe corpus.
 	Canary CanaryConfig
-	// KeepSnapshots bounds the in-memory ring of previously published
-	// fresh snapshots available to Rollback; 0 means
-	// DefaultKeepSnapshots, and values below 2 are raised to 2 (a ring
-	// of one has nothing to roll back to).
+	// KeepSnapshots bounds the rollback ring: the number of generations
+	// retained, the serving one included; 0 means DefaultKeepSnapshots,
+	// and values below 2 are raised to 2 (a ring of one has nothing to
+	// roll back to).
 	KeepSnapshots int
-	// StateDir, when non-empty, enables warm-start persistence: every
-	// successful publish writes the raw lists there, and New serves the
-	// persisted last-good snapshot before its first Source fetch.
+	// StateDir, when non-empty, holds the rollback ring: every generation
+	// a reload publishes is persisted there, a manifest names the ring and
+	// what is serving, and New resumes that snapshot before its first
+	// Source fetch.
 	StateDir string
 }
 
@@ -220,10 +204,10 @@ type Service struct {
 	flightMu sync.Mutex
 	flight   *reloadFlight
 
-	// publishMu serializes snapshot publication (fresh builds, warm
-	// starts, rollbacks) and guards history. Readers never take it.
+	// publishMu serializes makeCurrent (reloads, warm starts, rollbacks)
+	// and guards ring. Readers never take it.
 	publishMu sync.Mutex
-	history   []*Snapshot // ring of fresh published snapshots, oldest first
+	ring      []generation // the rollback ring, oldest first; the newest is serving
 
 	// draining flips readiness off ahead of shutdown so load balancers
 	// stop routing before the listener drains.
@@ -268,30 +252,21 @@ func New(ctx context.Context, cfg Config) (*Service, error) {
 	if s.logger == nil {
 		s.logger = obs.NopLogger()
 	}
-	s.matches = &obs.Counter{}
-	s.reloads = &obs.Counter{}
-	s.reloadErrs = &obs.Counter{}
-	s.rejected = &obs.Counter{}
-	s.coalesced = &obs.Counter{}
-	s.rollbacks = &obs.Counter{}
-	s.quarantines = &obs.Counter{}
-	s.persists = &obs.Counter{}
-	s.warmStarts = &obs.Counter{}
-	s.binStarts = &obs.Counter{}
-	s.version = &obs.Gauge{}
-	if cfg.Obs != nil {
-		s.matches = cfg.Obs.Counter("decision.matches")
-		s.reloads = cfg.Obs.Counter("decision.reloads")
-		s.reloadErrs = cfg.Obs.Counter("decision.reload.failures")
-		s.rejected = cfg.Obs.Counter("decision.reload.rejected")
-		s.coalesced = cfg.Obs.Counter("decision.reload.coalesced")
-		s.rollbacks = cfg.Obs.Counter("decision.rollbacks")
-		s.quarantines = cfg.Obs.Counter("decision.filter.quarantines")
-		s.persists = cfg.Obs.Counter("decision.state.persists")
-		s.warmStarts = cfg.Obs.Counter("decision.state.warmstarts")
-		s.binStarts = cfg.Obs.Counter("decision.state.warmstarts.binary")
-		s.version = cfg.Obs.Gauge("decision.snapshot.version")
+	reg := cfg.Obs
+	if reg == nil {
+		reg = obs.NewRegistry() // the service's own counters, exported nowhere
 	}
+	s.matches = reg.Counter("decision.matches")
+	s.reloads = reg.Counter("decision.reloads")
+	s.reloadErrs = reg.Counter("decision.reload.failures")
+	s.rejected = reg.Counter("decision.reload.rejected")
+	s.coalesced = reg.Counter("decision.reload.coalesced")
+	s.rollbacks = reg.Counter("decision.rollbacks")
+	s.quarantines = reg.Counter("decision.filter.quarantines")
+	s.persists = reg.Counter("decision.state.persists")
+	s.warmStarts = reg.Counter("decision.state.warmstarts")
+	s.binStarts = reg.Counter("decision.state.warmstarts.binary")
+	s.version = reg.Gauge("decision.snapshot.version")
 	if cfg.CacheSize > 0 {
 		s.cache = NewCache(cfg.CacheSize)
 		s.cache.SetObs(cfg.Obs)
@@ -309,13 +284,11 @@ func New(ctx context.Context, cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// warmStart tries to publish a snapshot from the persisted state dir. It
-// prefers the binary engine snapshot — decoded in milliseconds, no list
-// parsing or compilation — and falls back to recompiling the persisted
-// raw lists when the snapshot is absent, format-skewed, corrupt, or was
-// compiled under a different profile configuration. It returns (true,
-// nil) on success; (false, nil) when there is no persisted state;
-// (false, err) when state exists but is unusable.
+// warmStart tries to resume the snapshot the state dir's manifest says
+// was serving, loaded by the same loader Rollback uses, at the persisted
+// version and rollback provenance. It writes nothing to the state dir.
+// It returns (true, nil) on success; (false, nil) when there is no
+// persisted state; (false, err) when state exists but is unusable.
 func (s *Service) warmStart() (bool, error) {
 	m, err := loadManifest(s.cfg.StateDir)
 	if err != nil {
@@ -324,104 +297,24 @@ func (s *Service) warmStart() (bool, error) {
 		}
 		return false, err
 	}
-	if s.warmStartBinary(m) {
-		return true, nil
-	}
-	lists, err := loadPersistedLists(s.cfg.StateDir, m)
+	ring := m.generations()
+	s.publishMu.Lock()
+	snap, err := s.makeCurrent(ring[len(ring)-1], nil, ring[:len(ring)-1],
+		provenance{version: m.Version, rollbackOf: m.RollbackOf, warm: true})
+	s.publishMu.Unlock()
 	if err != nil {
-		return false, err
+		return false, fmt.Errorf("persisted snapshot unusable: %w", err)
 	}
-	eng, infos, err := buildEngine(lists, s.cfg.Profiles)
-	if err != nil {
-		return false, err
-	}
-	// Structural canary only: there is no serving snapshot to differ
-	// from, and differential probes skip themselves with old == nil.
-	if err := s.cfg.Canary.validate(eng, lists, nil); err != nil {
-		return false, fmt.Errorf("persisted snapshot rejected: %w", err)
-	}
-	snap := s.publish(eng, infos, m.BuiltAt, func(next *Snapshot) {
-		next.WarmStart = true
-	})
+	s.reloads.Inc()
 	s.warmStarts.Inc()
-	s.logger.Info("warm start: recompiled persisted lists",
-		"persistedVersion", m.Version, "version", snap.Version,
-		"filters", eng.NumFilters(), "builtAt", m.BuiltAt)
+	msg := "warm start: recompiled persisted lists"
+	if snap.BinaryStart {
+		s.binStarts.Inc()
+		msg = "warm start: decoded binary snapshot"
+	}
+	s.logger.Info(msg, "version", snap.Version, "rollbackOf", snap.RollbackOf,
+		"filters", snap.Engine.NumFilters(), "builtAt", snap.BuiltAt, "ring", len(ring))
 	return true, nil
-}
-
-// warmStartBinary attempts the fast warm-start path: decode the binary
-// engine snapshot the manifest references and publish it. Any
-// disqualification — no snapshot, codec version skew, a profile
-// configuration that differs from the one the snapshot was compiled
-// with, decode or checksum failure, canary rejection — is logged and
-// returns false so the caller recompiles from the raw lists instead.
-func (s *Service) warmStartBinary(m *persistManifest) bool {
-	if m.Snapshot == "" {
-		return false
-	}
-	if m.SnapshotFormat != snapbin.FormatVersion {
-		s.logger.Warn("binary snapshot format skew; recompiling from raw lists",
-			"persisted", m.SnapshotFormat, "decoder", snapbin.FormatVersion)
-		return false
-	}
-	if !profilesEqual(m.Profiles, s.cfg.Profiles) {
-		s.logger.Warn("binary snapshot compiled under different profiles; recompiling from raw lists")
-		return false
-	}
-	buf, err := os.ReadFile(filepath.Join(s.cfg.StateDir, m.Snapshot))
-	if err != nil {
-		s.logger.Warn("binary snapshot unreadable; recompiling from raw lists", "err", err)
-		return false
-	}
-	eng, err := snapbin.Decode(buf)
-	if err != nil {
-		s.logger.Warn("binary snapshot rejected by decoder; recompiling from raw lists", "err", err)
-		return false
-	}
-	// The canary replays its structural checks and probe corpus against
-	// the decoded engine before it is published; with no raw lists and no
-	// serving snapshot the parse-rate and differential checks self-skip.
-	if err := s.cfg.Canary.validate(eng, nil, nil); err != nil {
-		s.logger.Warn("binary snapshot rejected by canary; recompiling from raw lists", "err", err)
-		return false
-	}
-	infos := make([]ListInfo, 0, len(m.Lists))
-	for _, pl := range m.Lists {
-		infos = append(infos, ListInfo{Name: pl.Name, Filters: eng.ListFilters(pl.Name)})
-	}
-	snap := s.publish(eng, infos, m.BuiltAt, func(next *Snapshot) {
-		next.WarmStart = true
-		next.BinaryStart = true
-	})
-	s.warmStarts.Inc()
-	s.binStarts.Inc()
-	s.logger.Info("warm start: decoded binary snapshot",
-		"persistedVersion", m.Version, "version", snap.Version,
-		"filters", eng.NumFilters(), "builtAt", m.BuiltAt,
-		"bytes", len(buf))
-	return true
-}
-
-// profilesEqual reports whether two profile configurations declare the
-// same profiles with the same members in the same order. nil and empty
-// maps are equal: both mean "only the implicit full profile".
-func profilesEqual(a, b map[string][]string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for name, am := range a {
-		bm, ok := b[name]
-		if !ok || len(am) != len(bm) {
-			return false
-		}
-		for i := range am {
-			if am[i] != bm[i] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // Snapshot returns the current engine snapshot. The result is immutable;
@@ -730,46 +623,38 @@ func (s *Service) reload(ctx context.Context) (*Snapshot, error) {
 		return nil, fmt.Errorf("decision: reload: source returned no lists")
 	}
 
-	eng, infos, err := buildEngine(lists, s.cfg.Profiles)
+	eng, err := buildEngine(lists, s.cfg.Profiles)
 	if err != nil {
 		s.reloadErrs.Inc()
 		return nil, fmt.Errorf("decision: reload: %w", err)
 	}
 
-	// The canary gate: a candidate that fails any invariant or probe is
-	// quarantined — never published — and the serving snapshot stands.
-	if err := s.cfg.Canary.validate(eng, lists, s.cur.Load()); err != nil {
+	s.publishMu.Lock()
+	next, err := s.makeCurrent(generation{persistGen: persistGen{BuiltAt: time.Now()}, eng: eng},
+		lists, s.ring, provenance{})
+	s.publishMu.Unlock()
+	if err != nil {
+		// The canary quarantined the candidate: it is never published,
+		// and the serving snapshot stands.
 		s.rejected.Inc()
 		s.reloadErrs.Inc()
 		s.logger.Warn("reload rejected by canary; keeping current snapshot", "err", err)
 		return nil, fmt.Errorf("decision: reload rejected: %w", err)
 	}
-
-	next := s.publish(eng, infos, time.Now(), nil)
-
-	if s.cfg.StateDir != "" {
-		if err := persistSnapshot(s.cfg.StateDir, next, lists, s.cfg.Profiles); err != nil {
-			// Persistence is best-effort: the snapshot is already serving,
-			// a failed write only costs the next warm start.
-			s.logger.Warn("snapshot persist failed", "version", next.Version, "err", err)
-		} else {
-			s.persists.Inc()
-		}
-	}
+	s.reloads.Inc()
 	return next, nil
 }
 
-// buildEngine compiles lists into a frozen engine plus its ListInfos,
-// registering every declared profile ("*" expands to all loaded lists)
-// before the freeze.
-func buildEngine(lists []engine.NamedList, profiles map[string][]string) (*engine.Engine, []ListInfo, error) {
+// buildEngine compiles lists into a frozen engine, registering every
+// declared profile ("*" expands to all loaded lists) before the freeze.
+func buildEngine(lists []engine.NamedList, profiles map[string][]string) (*engine.Engine, error) {
 	b := engine.NewBuilder()
 	for _, nl := range lists {
 		if err := b.Add(nl.Name, nl.List); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	for _, name := range sortedProfileNames(profiles) {
+	for _, name := range sortedKeys(profiles) {
 		members := profiles[name]
 		expanded := make([]string, 0, len(members))
 		for _, m := range members {
@@ -783,34 +668,76 @@ func buildEngine(lists []engine.NamedList, profiles map[string][]string) (*engin
 			expanded = append(expanded, m)
 		}
 		if err := b.Profile(name, expanded...); err != nil {
-			return nil, nil, fmt.Errorf("profile %s: %w", name, err)
+			return nil, fmt.Errorf("profile %s: %w", name, err)
 		}
 	}
-	eng := b.Build()
-	infos := make([]ListInfo, 0, len(lists))
-	for _, nl := range lists {
-		infos = append(infos, ListInfo{Name: nl.Name, Filters: eng.ListFilters(nl.Name)})
-	}
-	return eng, infos, nil
+	return b.Build(), nil
 }
 
-// publish stores a snapshot built from eng/infos as the next generation:
-// version assignment, cache purge, gauge update and rollback-ring
-// bookkeeping all happen under publishMu. decorate, when non-nil, may
-// mark the snapshot (warm start, rollback provenance) before it is
-// published; fresh builds (nil RollbackOf) enter the rollback ring.
-func (s *Service) publish(eng *engine.Engine, infos []ListInfo, builtAt time.Time, decorate func(*Snapshot)) *Snapshot {
-	s.publishMu.Lock()
-	defer s.publishMu.Unlock()
-	next := &Snapshot{Engine: eng, Lists: infos, BuiltAt: builtAt, Version: 1}
-	next.Profiles = eng.Profiles()
-	next.profileID = profileIDs(next.Profiles)
-	if old := s.cur.Load(); old != nil {
-		next.Version = old.Version + 1
+// provenance is how a generation becomes current. The zero value is a
+// reload's fresh build, published as the next version.
+type provenance struct {
+	version    uint64 // the version a warm start resumes; 0 takes the next one
+	rollbackOf uint64 // the generation an earlier snapshot republishes
+	warm       bool   // resumed from the state dir at startup
+}
+
+// makeCurrent is the one way a generation becomes the serving snapshot;
+// the caller holds publishMu. A fresh build's gen carries its engine and
+// lists the raw lists it was compiled from; any other gen is loaded. In
+// order, it
+//   - runs the canary: against the serving snapshot for a fresh build,
+//     the structural checks alone otherwise;
+//   - persists, unless this is a warm start: a fresh build's files, then
+//     the manifest of the new ring;
+//   - publishes the engine as the next snapshot and purges the cache;
+//   - makes the ring below plus gen, trimmed to KeepSnapshots.
+//
+// A load failure or canary rejection is returned and changes nothing.
+func (s *Service) makeCurrent(gen generation, lists []engine.NamedList, below []generation, p provenance) (*Snapshot, error) {
+	cur := s.cur.Load()
+	old := cur
+	if p != (provenance{}) {
+		old = nil
 	}
-	if decorate != nil {
-		decorate(next)
+	eng, binary := gen.eng, false
+	if eng == nil {
+		var err error
+		if eng, lists, binary, err = s.load(&gen.persistGen); err != nil {
+			return nil, err
+		}
 	}
+	if err := s.cfg.Canary.validate(eng, lists, old); err != nil {
+		return nil, err
+	}
+
+	next := &Snapshot{
+		Engine: eng, BuiltAt: gen.BuiltAt, Version: max(p.version, 1), RollbackOf: p.rollbackOf,
+		WarmStart: p.warm, BinaryStart: p.warm && binary, Profiles: eng.Profiles(),
+	}
+	if cur != nil {
+		next.Version = cur.Version + 1
+	}
+	if gen.Version == 0 {
+		gen.Version = next.Version // a fresh build is named by its first version
+	}
+	for _, name := range eng.Lists() {
+		next.Lists = append(next.Lists, ListInfo{Name: name, Filters: eng.ListFilters(name)})
+	}
+	next.profileID = make(map[string]int, len(next.Profiles))
+	for i, name := range next.Profiles {
+		next.profileID[name] = i
+	}
+
+	if n := len(below) + 1 - max(cmp.Or(s.cfg.KeepSnapshots, DefaultKeepSnapshots), 2); n > 0 {
+		below = below[n:]
+	}
+	// A new array, so no generation that left the ring stays reachable.
+	ring := append(append(make([]generation, 0, len(below)+1), below...), gen)
+	if s.cfg.StateDir != "" && !p.warm {
+		s.persist(next, lists, ring)
+	}
+
 	// Engine telemetry joins the service's registry before the snapshot
 	// can be matched against (nil Obs leaves it off).
 	eng.SetMetrics(s.cfg.Obs)
@@ -818,81 +745,38 @@ func (s *Service) publish(eng *engine.Engine, infos []ListInfo, builtAt time.Tim
 	if s.cache != nil {
 		s.cache.Purge()
 	}
-	s.reloads.Inc()
 	s.version.Set(int64(next.Version))
-	if next.RollbackOf == 0 {
-		s.history = append(s.history, next)
-		keep := s.cfg.KeepSnapshots
-		if keep == 0 {
-			keep = DefaultKeepSnapshots
-		}
-		if keep < 2 {
-			keep = 2
-		}
-		if len(s.history) > keep {
-			s.history = append(s.history[:0], s.history[len(s.history)-keep:]...)
-		}
-	}
+	s.ring = ring
 	s.logger.Info("snapshot published",
-		"version", next.Version, "filters", eng.NumFilters(), "lists", len(infos),
+		"version", next.Version, "filters", eng.NumFilters(), "lists", len(next.Lists),
 		"rollbackOf", next.RollbackOf, "warmStart", next.WarmStart,
-		"binary", next.BinaryStart)
-	return next
+		"binary", next.BinaryStart, "ring", len(ring))
+	return next, nil
 }
 
-// Rollback republishes the snapshot that preceded the one currently
-// serving, as a new (monotonically versioned) generation, and purges the
-// decision cache. Repeated rollbacks walk further back through the ring
-// of retained snapshots; it fails when no older snapshot is retained.
-// The escape hatch for a bad list revision that passed the canary.
+// Rollback republishes the generation that preceded the one currently
+// serving, as a new (monotonically versioned) snapshot, and purges the
+// decision cache. Repeated rollbacks walk further back through the ring;
+// it fails when no older generation is retained, or when the previous
+// generation cannot be loaded from the state dir or fails the canary,
+// and then changes nothing. With a state dir the rollback is persisted, so it survives a
+// restart. The escape hatch for a bad list revision that passed the
+// canary.
 func (s *Service) Rollback(ctx context.Context) (*Snapshot, error) {
 	s.publishMu.Lock()
 	defer s.publishMu.Unlock()
-	cur := s.cur.Load()
-	if cur == nil {
-		return nil, fmt.Errorf("decision: rollback: no snapshot published")
+	n := len(s.ring)
+	if n < 2 {
+		return nil, fmt.Errorf("decision: rollback: no older generation retained")
 	}
-	// Resolve the content generation currently serving: a rollback serves
-	// some earlier fresh build, so walking back starts from that build.
-	origin := cur.Version
-	if cur.RollbackOf != 0 {
-		origin = cur.RollbackOf
+	target := s.ring[n-2]
+	next, err := s.makeCurrent(target, nil, s.ring[:n-2], provenance{rollbackOf: target.Version})
+	if err != nil {
+		return nil, fmt.Errorf("decision: rollback to version %d: %w", target.Version, err)
 	}
-	idx := -1
-	for i, snap := range s.history {
-		if snap.Version == origin {
-			idx = i
-			break
-		}
-	}
-	if idx <= 0 {
-		return nil, fmt.Errorf("decision: rollback: no older snapshot retained (serving content of version %d)", origin)
-	}
-	target := s.history[idx-1]
-	next := &Snapshot{
-		Engine:     target.Engine,
-		Lists:      target.Lists,
-		BuiltAt:    target.BuiltAt,
-		Version:    cur.Version + 1,
-		RollbackOf: target.Version,
-		Profiles:   target.Profiles,
-		profileID:  target.profileID,
-	}
-	s.cur.Store(next)
-	if s.cache != nil {
-		s.cache.Purge()
-	}
-	// Pop the abandoned generation off the ring: rolling forward past a
-	// known-bad snapshot again would require a fresh reload, not another
-	// rollback.
-	s.history = s.history[:idx]
 	s.rollbacks.Inc()
-	s.version.Set(int64(next.Version))
 	obs.DefaultRing.Annotate(ctx, "rollback.published",
 		fmt.Sprintf("version=%d rollbackOf=%d", next.Version, next.RollbackOf))
-	s.logger.Info("rollback published",
-		"version", next.Version, "rollbackOf", next.RollbackOf,
-		"abandoned", origin, "filters", next.Engine.NumFilters())
 	return next, nil
 }
 
@@ -939,16 +823,6 @@ func (s *Service) profileRequests() map[string]int64 {
 		out[k.(string)] = v.(*obs.Counter).Value()
 		return true
 	})
-	return out
-}
-
-// profileIDs assigns each profile name its index in the sorted name
-// slice — the dense id carried by cache keys.
-func profileIDs(names []string) map[string]int {
-	out := make(map[string]int, len(names))
-	for i, n := range names {
-		out[n] = i
-	}
 	return out
 }
 

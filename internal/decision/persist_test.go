@@ -2,7 +2,9 @@ package decision
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -287,9 +289,10 @@ func TestWarmStartCanaryGuardsPersistedState(t *testing.T) {
 	}
 }
 
-// TestPersistGCKeepsOnlyCurrentVersion reloads several times and checks
-// the state dir holds exactly the newest version's payloads plus the
-// manifest — superseded files are garbage-collected.
+// TestPersistGCKeepsOnlyCurrentVersion reloads past the ring bound and
+// rolls back once, checking after each that the state dir holds the
+// manifest plus exactly the ring's generations: files of generations
+// that left the ring are garbage-collected.
 func TestPersistGCKeepsOnlyCurrentVersion(t *testing.T) {
 	dir := t.TempDir()
 	svc, err := New(context.Background(), Config{
@@ -298,42 +301,57 @@ func TestPersistGCKeepsOnlyCurrentVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 6; i++ {
 		if _, err := svc.Reload(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	cur := svc.Snapshot().Version
-	entries, err := os.ReadDir(dir)
-	if err != nil {
+	assertRing := func(want ...uint64) {
+		t.Helper()
+		m, err := loadManifest(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantFiles := map[string]bool{manifestFile: true}
+		var got []uint64
+		for _, g := range m.generations() {
+			got = append(got, g.Version)
+			if len(g.Lists) != len(testLists()) {
+				t.Errorf("generation v%d persisted %d lists, want %d", g.Version, len(g.Lists), len(testLists()))
+			}
+			if g.Snapshot != fmt.Sprintf("v%d-engine.snap", g.Version) {
+				t.Errorf("generation v%d names binary snapshot %q", g.Version, g.Snapshot)
+			}
+			for _, pl := range g.Lists {
+				if !strings.HasPrefix(pl.File, fmt.Sprintf("v%d-", g.Version)) {
+					t.Errorf("generation v%d names list file %q", g.Version, pl.File)
+				}
+				wantFiles[pl.File] = true
+			}
+			wantFiles[g.Snapshot] = true
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("manifest ring = %v, want %v", got, want)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if !wantFiles[e.Name()] {
+				t.Errorf("stale or unexpected state file %q survived GC", e.Name())
+			}
+			delete(wantFiles, e.Name())
+		}
+		for name := range wantFiles {
+			t.Errorf("the manifest names %q, which is missing", name)
+		}
+	}
+	assertRing(4, 5, 6, 7)
+	if _, err := svc.Rollback(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	prefix := fmt.Sprintf("v%d-", cur)
-	var payloads, snaps int
-	for _, e := range entries {
-		name := e.Name()
-		if name == manifestFile {
-			continue
-		}
-		if !strings.HasPrefix(name, prefix) {
-			t.Errorf("stale or unexpected state file %q survived GC", name)
-			continue
-		}
-		switch {
-		case strings.HasSuffix(name, ".txt"):
-			payloads++
-		case strings.HasSuffix(name, ".snap"):
-			snaps++
-		default:
-			t.Errorf("stale or unexpected state file %q survived GC", name)
-		}
-	}
-	if payloads != len(testLists()) {
-		t.Errorf("state dir holds %d payloads for v%d, want %d", payloads, cur, len(testLists()))
-	}
-	if snaps != 1 {
-		t.Errorf("state dir holds %d binary snapshots for v%d, want 1", snaps, cur)
-	}
+	assertRing(4, 5, 6)
 
 	// And the persisted state round-trips: a warm start from it serves
 	// the same verdicts.
@@ -347,5 +365,154 @@ func TestPersistGCKeepsOnlyCurrentVersion(t *testing.T) {
 		"http://ads.example.com/x.js", "http://news.example.org/"), "")
 	if d.Verdict != engine.Blocked {
 		t.Fatalf("round-tripped verdict = %v, want blocked", d.Verdict)
+	}
+}
+
+// genList is an easylist revision that blocks exactly its own
+// generation's host, http://<n>.example/, on top of canaryBase.
+func genList(n string) engine.NamedList {
+	return nl("easylist", canaryBase+"\n||"+n+".example^")
+}
+
+// serves reports whether svc blocks generation n's host.
+func serves(t *testing.T, svc *Service, n string) bool {
+	t.Helper()
+	d, _, err := svc.MatchProfile(mustRequest(t, "http://"+n+".example/ad.js", "http://news.example.org/"), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d.Verdict == engine.Blocked
+}
+
+// twoGenerations publishes gen1 then gen2 on a state dir.
+func twoGenerations(t *testing.T, dir string) *Service {
+	t.Helper()
+	src := &swapSource{}
+	src.set(genList("gen1"))
+	svc, err := New(context.Background(), Config{Source: src, StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.set(genList("gen2"))
+	if _, err := svc.Reload(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	return svc
+}
+
+// TestRollbackSurvivesRestart: a rollback rewrites the manifest, so a
+// restart resumes the rolled-back generation at the same version and
+// provenance, with the abandoned generation gone from the ring.
+func TestRollbackSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	rb, err := twoGenerations(t, dir).Rollback(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rb.Version != 3 || rb.RollbackOf != 1 {
+		t.Fatalf("rollback = v%d rollbackOf=%d, want v3 of 1", rb.Version, rb.RollbackOf)
+	}
+
+	svc, err := New(context.Background(), Config{
+		Source: &deadSource{}, StateDir: dir, MaxAttempts: 1,
+	})
+	if err != nil {
+		t.Fatalf("warm start after rollback failed: %v", err)
+	}
+	snap := svc.Snapshot()
+	if !snap.WarmStart || snap.Version != rb.Version || snap.RollbackOf != rb.RollbackOf {
+		t.Fatalf("restart = v%d rollbackOf=%d warm=%t, want warm v%d rollbackOf=%d",
+			snap.Version, snap.RollbackOf, snap.WarmStart, rb.Version, rb.RollbackOf)
+	}
+	if !serves(t, svc, "gen1") || serves(t, svc, "gen2") {
+		t.Fatal("restart does not serve the rolled-back generation 1")
+	}
+	if _, err := svc.Rollback(context.Background()); err == nil {
+		t.Fatal("rollback past the rolled-back generation succeeded after restart")
+	}
+	if svc.Snapshot() != snap {
+		t.Fatal("failed rollback displaced the serving snapshot")
+	}
+}
+
+// TestRollbackLoadsPersistedGeneration: with a state dir the ring holds
+// files, not engines. A rollback to a generation whose binary snapshot is
+// corrupt recompiles its raw lists; one to a generation whose files are
+// gone fails and leaves the serving snapshot, version and manifest as
+// they were.
+func TestRollbackLoadsPersistedGeneration(t *testing.T) {
+	t.Run("corrupt-snap", func(t *testing.T) {
+		dir := t.TempDir()
+		svc := twoGenerations(t, dir)
+		path := filepath.Join(dir, "v1-engine.snap")
+		buf, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf[len(buf)/2] ^= 0x20
+		if err := os.WriteFile(path, buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := svc.Rollback(context.Background())
+		if err != nil {
+			t.Fatalf("rollback over a corrupt snapshot failed: %v", err)
+		}
+		if snap.Version != 3 || snap.RollbackOf != 1 {
+			t.Fatalf("rollback = v%d rollbackOf=%d, want v3 of 1", snap.Version, snap.RollbackOf)
+		}
+		if !serves(t, svc, "gen1") || serves(t, svc, "gen2") {
+			t.Fatal("rollback did not restore generation 1 verdicts")
+		}
+	})
+
+	t.Run("files-deleted", func(t *testing.T) {
+		dir := t.TempDir()
+		svc := twoGenerations(t, dir)
+		for _, name := range []string{"v1-easylist.txt", "v1-engine.snap"} {
+			if err := os.Remove(filepath.Join(dir, name)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		manifest, err := os.ReadFile(filepath.Join(dir, manifestFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := svc.Snapshot()
+		if _, err := svc.Rollback(context.Background()); err == nil {
+			t.Fatal("rollback to a generation with no files succeeded")
+		}
+		if svc.Snapshot() != before || before.Version != 2 {
+			t.Fatalf("failed rollback changed the serving snapshot (v%d)", svc.Snapshot().Version)
+		}
+		after, err := os.ReadFile(filepath.Join(dir, manifestFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(after) != string(manifest) {
+			t.Fatal("failed rollback rewrote the manifest")
+		}
+		if !serves(t, svc, "gen2") {
+			t.Fatal("generation 2 no longer serving")
+		}
+	})
+}
+
+// TestAtomicWriteRemovesTemp: a write that fails part-way leaves neither
+// the temp file nor the target behind. The temp name is a symlink to
+// /dev/full, so the write itself fails whatever the user's permissions.
+func TestAtomicWriteRemovesTemp(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "v1-engine.snap")
+	if err := os.Symlink("/dev/full", path+".tmp"); err != nil {
+		t.Skipf("cannot link to /dev/full: %v", err)
+	}
+	if err := atomicWrite(path, []byte("payload")); err == nil {
+		t.Fatal("write through /dev/full succeeded")
+	}
+	if _, err := os.Lstat(path + ".tmp"); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("temp file left behind: %v", err)
+	}
+	if _, err := os.Lstat(path); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("failed write created its target: %v", err)
 	}
 }

@@ -71,10 +71,26 @@ const headerLen = 8 + 4 + 4 + 8 // magic + version + reserved + payload length
 // (with buffer alignment) for viewing numeric columns in place.
 var hostLE = binary.NativeEndian.Uint16([]byte{0x34, 0x12}) == 0x1234
 
-// Encode serializes the engine's compiled form.
+// Encode serializes the engine's compiled form. A dry run of the layout
+// sizes the frame first, so the payload is written once, in place, into
+// a buffer of exactly the frame's size: a service reload encodes on
+// every publish, and growing a buffer would cost several times the
+// frame in garbage.
 func Encode(e *engine.Engine) ([]byte, error) {
 	a := e.ToArenas()
-	var w writer
+	size := writer{dry: true}
+	size.arenas(a)
+	w := writer{buf: make([]byte, 0, headerLen+size.n+4)}
+	w.buf = append(w.buf, magic[:]...)
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, FormatVersion)
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, 0) // reserved
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(size.n))
+	w.arenas(a)
+	return binary.LittleEndian.AppendUint32(w.buf, crc32.Checksum(w.buf[headerLen:], castagnoli)), nil
+}
+
+// arenas lays out the payload.
+func (w *writer) arenas(a *engine.Arenas) {
 	w.u8(b2u(a.NoFingerprint))
 	w.u8(b2u(a.NoHostIndex))
 	w.u32(uint32(len(a.Lists)))
@@ -131,16 +147,6 @@ func Encode(e *engine.Engine) ([]byte, error) {
 	w.u32s(a.IdxIds)
 	w.u32s(a.SlowOffs)
 	w.u32s(a.SlowIds)
-
-	payload := w.buf
-	out := make([]byte, 0, headerLen+len(payload)+4)
-	out = append(out, magic[:]...)
-	out = binary.LittleEndian.AppendUint32(out, FormatVersion)
-	out = binary.LittleEndian.AppendUint32(out, 0) // reserved
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
-	out = append(out, payload...)
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, castagnoli))
-	return out, nil
 }
 
 // Decode verifies the frame and rebuilds the engine. The returned engine
@@ -333,28 +339,40 @@ func b2u(b bool) byte {
 	return 0
 }
 
-// writer accumulates the payload.
-type writer struct{ buf []byte }
-
-func (w *writer) u8(v byte)     { w.buf = append(w.buf, v) }
-func (w *writer) u32(v uint32)  { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
-func (w *writer) u64(v uint64)  { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
-func (w *writer) bytes(b []byte) {
-	w.u32(uint32(len(b)))
-	w.buf = append(w.buf, b...)
+// writer lays out the payload after the frame header in buf. A dry
+// writer stores nothing: it only counts in n the bytes it would write.
+type writer struct {
+	buf []byte
+	n   int // payload bytes laid out so far
+	dry bool
 }
 
-func (w *writer) str(s string) {
-	w.u32(uint32(len(s)))
-	w.buf = append(w.buf, s...)
+func (w *writer) put(b []byte) {
+	w.n += len(b)
+	if !w.dry {
+		w.buf = append(w.buf, b...)
+	}
 }
+
+func (w *writer) text(s string) {
+	w.n += len(s)
+	if !w.dry {
+		w.buf = append(w.buf, s...)
+	}
+}
+
+func (w *writer) u8(v byte)      { w.put([]byte{v}) }
+func (w *writer) u32(v uint32)   { w.put(binary.LittleEndian.AppendUint32(make([]byte, 0, 4), v)) }
+func (w *writer) u64(v uint64)   { w.put(binary.LittleEndian.AppendUint64(make([]byte, 0, 8), v)) }
+func (w *writer) bytes(b []byte) { w.u32(uint32(len(b))); w.put(b) }
+func (w *writer) str(s string)   { w.u32(uint32(len(s))); w.text(s) }
 
 // align zero-pads the payload to an n-byte boundary relative to the
 // payload start (which the frame header keeps 8-byte aligned), so the
 // decoder can view the following elements in place.
 func (w *writer) align(n int) {
-	for len(w.buf)%n != 0 {
-		w.buf = append(w.buf, 0)
+	for w.n%n != 0 {
+		w.u8(0)
 	}
 }
 
@@ -390,7 +408,7 @@ func (w *writer) strs(ss []string) {
 		w.u32(uint32(len(s)))
 	}
 	for _, s := range ss {
-		w.buf = append(w.buf, s...)
+		w.text(s)
 	}
 }
 
@@ -405,7 +423,7 @@ func (w *writer) col(c *strtab.Col) {
 func (w *writer) bools(bs []bool) {
 	w.u32(uint32(len(bs)))
 	for _, b := range bs {
-		w.buf = append(w.buf, b2u(b))
+		w.u8(b2u(b))
 	}
 }
 
