@@ -92,17 +92,21 @@ diff-smoke:
 	$(GO) test -race -run 'TestProfileDiffSmoke|TestUnknownProfileIs400|TestParseProfiles' \
 		-count=1 -v ./cmd/aa-serve
 
-# Two short fuzz runs. Snapshot decoder: truncated, bit-flipped and
+# Three short fuzz runs. Snapshot decoder: truncated, bit-flipped and
 # version-skewed snapshot bytes must produce errors, never a panic or a
 # half-built engine; the committed corpus seeds cover each section and ten
 # seconds of mutation on top catches format-change regressions cheaply.
 # Request validation: NewRequest's parse-free recogniser may only accept
 # what url.Parse accepts with a host, and NewRequest's accept/reject set
-# must equal the parse rule on every input.
+# must equal the parse rule on every input. Pattern matching: the compiled
+# segment matcher must agree with the regexp translation of every filter.
+# -fuzz takes one target per run, so each has its own line.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 10s \
 		./internal/engine/snapbin
 	$(GO) test -run '^$$' -fuzz FuzzNewRequestValidation -fuzztime 10s \
+		./internal/engine
+	$(GO) test -run '^$$' -fuzz FuzzPatternVsRegexp -fuzztime 10s \
 		./internal/engine
 
 # Size report: non-test Go lines and exported declarations (top-level
@@ -126,6 +130,6 @@ lint-metrics:
 # The pre-merge gate: static checks, a clean build, the full suite under
 # the race detector, a smoke pass over every benchmark plus the hot-path
 # allocation smoke, the perf gate against the committed baseline, the
-# benchmark harness module's own vet/build/test, two short fuzz runs, and
+# benchmark harness module's own vet/build/test, three short fuzz runs, and
 # the chaos and decision-service smoke runs.
 ci: vet lint-metrics build race bench bench-smoke bench-compare bench-harness-check fuzz-smoke chaos serve-smoke overload-smoke metrics-smoke diff-smoke

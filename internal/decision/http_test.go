@@ -47,6 +47,18 @@ func TestDecodeRejectsTrailingData(t *testing.T) {
 	}
 }
 
+// TestOverlongURLIs400: a request URL past the engine's length bound is
+// the client's error, answered 400 before any matching.
+func TestOverlongURLIs400(t *testing.T) {
+	h := Handler(newTestService(t, 64), HandlerConfig{})
+	body := `{"url":"http://x.com/` + strings.Repeat("a", 32<<10) + `"}`
+	rr := httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/v1/match", strings.NewReader(body)))
+	if rr.Code != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400 (%s)", rr.Code, rr.Body)
+	}
+}
+
 // TestBatchBookkeeping: a batch books its decisions once, in bulk — the
 // totals must still be one per decision, and a batch the deadline cut off
 // before its first decision books nothing.

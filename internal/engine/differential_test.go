@@ -36,8 +36,24 @@ func regexpOracle(f *filter.Filter) *regexp.Regexp {
 
 // genPattern draws a random filter pattern from a grammar covering the
 // interesting structure: host-ish literals, separators, wildcards,
-// anchors.
+// anchors. One in three is drawn from a small alphabet instead, where
+// several '*', a '*' next to an anchor, and segments that recur in a
+// genURL URL are all common.
 func genPattern(rng *xrand.RNG) string {
+	if rng.Intn(3) == 0 {
+		var b strings.Builder
+		b.WriteString([]string{"", "|", "||"}[rng.Intn(3)])
+		for n := 1 + rng.Intn(8); n > 0; n-- {
+			b.WriteByte("a/.^*b"[rng.Intn(6)])
+		}
+		if s := b.String(); len(s) > 1 && s[0] == '/' && s[len(s)-1] == '/' {
+			b.WriteByte('a') // keep it off the /regex/ syntax
+		}
+		if rng.Intn(3) == 0 {
+			b.WriteString("|")
+		}
+		return b.String()
+	}
 	hosts := []string{"adzerk.net", "ads.example.com", "track.io", "a.b.c.d"}
 	paths := []string{"/ads/", "/r/collect", "/x", "/gampad/ads.js", "/p-q_r%7e"}
 	var b strings.Builder
@@ -68,8 +84,18 @@ func genPattern(rng *xrand.RNG) string {
 	return b.String()
 }
 
-// genURL draws a URL that has a fighting chance of matching.
+// genURL draws a URL that has a fighting chance of matching. One in three
+// is built from short runs over genPattern's small alphabet, each repeated
+// up to three times, so a segment can match at several starts.
 func genURL(rng *xrand.RNG) string {
+	if rng.Intn(3) == 0 {
+		var b strings.Builder
+		b.WriteString("http://")
+		writeRuns(&b, rng, "ab.")
+		b.WriteByte('/')
+		writeRuns(&b, rng, "ab./?")
+		return b.String()
+	}
 	schemes := []string{"http://", "https://"}
 	hosts := []string{
 		"adzerk.net", "static.adzerk.net", "ads.example.com",
@@ -82,6 +108,20 @@ func genURL(rng *xrand.RNG) string {
 		"/redir?to=http://adzerk.net/ads/",
 	}
 	return schemes[rng.Intn(2)] + hosts[rng.Intn(len(hosts))] + paths[rng.Intn(len(paths))]
+}
+
+// writeRuns appends up to four runs of one to three bytes of alphabet,
+// each repeated one to three times.
+func writeRuns(b *strings.Builder, rng *xrand.RNG, alphabet string) {
+	for n := rng.Intn(5); n > 0; n-- {
+		run := make([]byte, 1+rng.Intn(3))
+		for i := range run {
+			run[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		for k := 1 + rng.Intn(3); k > 0; k-- {
+			b.Write(run)
+		}
+	}
 }
 
 func TestDifferentialPatternVsRegexp(t *testing.T) {
@@ -99,14 +139,62 @@ func TestDifferentialPatternVsRegexp(t *testing.T) {
 		oracle := regexpOracle(f)
 		for j := 0; j < 20; j++ {
 			url := genURL(rng)
-			got := pat.match(url, strings.ToLower(url), nil)
-			want := oracle.MatchString(strings.ToLower(url))
+			lower := strings.ToLower(url)
+			got := pat.match(url, lower, appendDomainBoundaries(nil, lower))
+			want := oracle.MatchString(lower)
 			if got != want {
 				t.Fatalf("divergence: filter %q url %q: compiled=%v oracle=%v",
 					line, url, got, want)
 			}
 		}
 	}
+}
+
+// FuzzPatternVsRegexp holds the compiled matcher to regexpOracle on
+// arbitrary filter lines and URLs. Inputs outside the oracle's domain are
+// skipped: non-printable ASCII (the regexp works on runes, the matcher on
+// bytes), $match-case and /regex/ filters, and '||' filters on URLs that
+// do not start with a scheme (the oracle's '||' needs one).
+func FuzzPatternVsRegexp(f *testing.F) {
+	for _, seed := range [][2]string{
+		{"a/*zzz", "http://x.com/a/a/a/a/zz"},
+		{"||a.*zzz", "http://a.a.a.a.a/zz"},
+		{"a/*a/*zzz|", "http://x.com/a/a/a/zzz/"},
+		{"foo*|", "http://x.com/foo/bar"},
+		{"|*foo", "http://x.com/foo"},
+		{"||*foo", "http://x.com/foo"},
+		{"||.**|", "http://..b/?"},
+		{"||adzerk.net^", "http://static.adzerk.net:8080/x"},
+		{"banner^ad^*x^", "http://x.com/banner/ad?x"},
+	} {
+		f.Add(seed[0], seed[1])
+	}
+	scheme := regexp.MustCompile(`^[a-z][a-z0-9+.-]*://`)
+	f.Fuzz(func(t *testing.T, line, url string) {
+		for _, s := range []string{line, url} {
+			for i := 0; i < len(s); i++ {
+				if s[i] < ' ' || s[i] > '~' {
+					return
+				}
+			}
+		}
+		fl := filter.Parse(line)
+		if fl.Kind != filter.KindRequestBlock && fl.Kind != filter.KindRequestException || fl.IsRegex || fl.MatchCase {
+			return
+		}
+		lower := strings.ToLower(url)
+		if fl.AnchorDomain && !scheme.MatchString(lower) {
+			return
+		}
+		pat, err := compilePattern(fl)
+		if err != nil {
+			t.Fatalf("compile %q: %v", line, err)
+		}
+		got := pat.match(url, lower, appendDomainBoundaries(nil, lower))
+		if want := regexpOracle(fl).MatchString(lower); got != want {
+			t.Fatalf("filter %q url %q: compiled=%v oracle=%v", line, url, got, want)
+		}
+	})
 }
 
 // TestDifferentialKeywordIndex: for the same random filters, an engine

@@ -96,15 +96,16 @@ func compilePatternInto(f *filter.Filter, p *pattern) error {
 	if !f.MatchCase {
 		text = strings.ToLower(text)
 	}
-	for _, seg := range strings.Split(text, "*") {
-		if seg != "" {
+	// Empty segments are dropped, except at an edge an anchor holds: a
+	// '*' next to an anchor lets the pattern float, as in Adblock Plus, so
+	// "|*foo" and "foo*|" match like "foo" while "||*foo" still starts at
+	// a host boundary. A pattern of only wildcards matches every URL.
+	segs := strings.Split(text, "*")
+	for i, seg := range segs {
+		if seg != "" || i == 0 && (f.AnchorStart || f.AnchorDomain) || i == len(segs)-1 && f.AnchorEnd {
 			p.segments = append(p.segments, seg)
 		}
 	}
-	// "*foo" and "foo*" lose their empty outer segments; explicit
-	// wildcards at the edges simply relax anchoring, which the segment
-	// matcher already provides. A pattern of only wildcards matches
-	// every URL.
 	p.setKeyword(f)
 	p.hostKey = trieHostKey(f)
 	return nil
@@ -152,9 +153,9 @@ func isSeparator(b byte) bool {
 
 // match reports whether the pattern matches url. lower is the pre-lowered
 // copy of url shared across all filters for one request, and bounds the
-// request's memoized '||' candidate positions (nil to derive on the fly —
-// boundary positions are byte offsets, identical in url and lower, so one
-// slice serves both the case-sensitive and the case-folded subject).
+// request's memoized '||' candidate positions (appendDomainBoundaries of
+// lower — byte offsets, identical in url and lower, so one slice serves
+// both the case-sensitive and the case-folded subject).
 func (p *pattern) match(url, lower string, bounds []int) bool {
 	if p.re != nil {
 		return p.re.MatchString(url)
@@ -270,94 +271,43 @@ func appendDomainBoundaries(dst []int, url string) []int {
 	return dst
 }
 
-// domainBoundaries is the allocating convenience over
-// appendDomainBoundaries, kept for tests and unmemoized callers.
-func domainBoundaries(url string) []int {
-	return appendDomainBoundaries(nil, url)
-}
-
+// matchSegments matches the '*'-joined segments in one forward pass. The
+// first is placed by its anchor: '|' at 0, '||' at the first host boundary
+// where it matches, otherwise at its leftmost match. Each later segment
+// takes its leftmost match after the one before.
+//
+// Leftmost is complete: a segment consumes its own length at any position
+// except the end of the URL, where its trailing '^'s consume nothing, so a
+// segment that starts later never ends earlier. A later start only leaves
+// less of the URL for the segments after it, and no placement is retried:
+// one decision is linear in the URL. An end-anchored last segment is
+// searched from len(url)-len(seg) on, where every match ends at the end.
 func matchSegments(url string, segs []string, anchorStart, anchorEnd, anchorDomain bool, bounds []int) bool {
-	if len(segs) == 0 {
-		return true
-	}
-
-	matchRest := func(pos int, rest []string) bool {
-		for i, seg := range rest {
-			last := i == len(rest)-1
-			if last && anchorEnd {
-				// The final segment must end exactly at the end
-				// of the URL.
-				for p := pos; p <= len(url); p++ {
-					if n, ok := matchSegAt(url, p, seg); ok && p+n == len(url) {
-						return true
-					}
-				}
-				return false
-			}
-			p, n := findSeg(url, pos, seg)
-			if p < 0 {
-				return false
-			}
-			pos = p + n
+	pos := 0
+	for i, seg := range segs {
+		if anchorEnd && i == len(segs)-1 {
+			pos = max(pos, len(url)-len(seg))
 		}
-		return true
-	}
-
-	first := segs[0]
-	rest := segs[1:]
-	switch {
-	case anchorStart:
-		n, ok := matchSegAt(url, 0, first)
-		if !ok {
+		p, n := -1, 0
+		switch {
+		case i > 0 || !anchorStart && !anchorDomain:
+			p, n = findSeg(url, pos, seg)
+		case anchorStart:
+			if k, ok := matchSegAt(url, 0, seg); ok && pos == 0 {
+				p, n = 0, k
+			}
+		default:
+			for _, b := range bounds {
+				if k, ok := matchSegAt(url, b, seg); ok && b >= pos {
+					p, n = b, k
+					break
+				}
+			}
+		}
+		if p < 0 {
 			return false
 		}
-		if len(rest) == 0 {
-			if anchorEnd {
-				return n == len(url)
-			}
-			return true
-		}
-		return matchRest(n, rest)
-	case anchorDomain:
-		if bounds == nil {
-			bounds = appendDomainBoundaries(make([]int, 0, 8), url)
-		}
-		for _, b := range bounds {
-			n, ok := matchSegAt(url, b, first)
-			if !ok {
-				continue
-			}
-			if len(rest) == 0 {
-				if anchorEnd {
-					if b+n == len(url) {
-						return true
-					}
-					continue
-				}
-				return true
-			}
-			if matchRest(b+n, rest) {
-				return true
-			}
-		}
-		return false
-	default:
-		if len(rest) == 0 && anchorEnd {
-			return matchRest(0, segs)
-		}
-		pos := 0
-		for {
-			p, n := findSeg(url, pos, first)
-			if p < 0 {
-				return false
-			}
-			if len(rest) == 0 {
-				return true
-			}
-			if matchRest(p+n, rest) {
-				return true
-			}
-			pos = p + 1
-		}
+		pos = p + n
 	}
+	return true
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"acceptableads/internal/filter"
 	"acceptableads/internal/htmldom"
@@ -25,7 +26,8 @@ func compile(t *testing.T, line string) *pattern {
 }
 
 func matches(p *pattern, url string) bool {
-	return p.match(url, strings.ToLower(url), nil)
+	lower := strings.ToLower(url)
+	return p.match(url, lower, appendDomainBoundaries(nil, lower))
 }
 
 func TestPatternPlain(t *testing.T) {
@@ -142,8 +144,68 @@ func TestPatternOnlyWildcards(t *testing.T) {
 	}
 }
 
+// TestPatternEdgeWildcardFloats: a '*' next to an anchor lets the pattern
+// float, as in Adblock Plus — "foo*|" does not require "foo" at the end,
+// "|*foo" does not require it at 0 — while "||*foo" still starts at a host
+// boundary. Each verdict is also held to regexpOracle.
+func TestPatternEdgeWildcardFloats(t *testing.T) {
+	for _, c := range []struct {
+		line, url string
+		want      bool
+	}{
+		{"foo*|", "http://x.com/foo/bar", true},
+		{"foo*|", "http://x.com/bar", false},
+		{"|*foo", "http://x.com/foo", true},
+		{"|*foo^", "http://x.com/foo/x", true},
+		{"||*foo", "http://x.com/foo", true},
+		{"||*^", "http://x.com", true},
+		{"||.**|", "http://..b/?", true},
+		{"||a.*|", "http://a.b/c", true},
+		{"||a.*|", "http://b.c/a.", false},
+		{"|*|", "http://x.com/", true},
+	} {
+		f := filter.Parse(c.line)
+		if got := matches(compile(t, c.line), c.url); got != c.want {
+			t.Errorf("%q on %q = %v, want %v", c.line, c.url, got, c.want)
+		}
+		if oracle := regexpOracle(f).MatchString(strings.ToLower(c.url)); oracle != c.want {
+			t.Errorf("regexpOracle: %q on %q = %v, want %v", c.line, c.url, oracle, c.want)
+		}
+	}
+}
+
+// TestMatchLinear: one match is linear in the URL. In each shape the first
+// segment matches at every other byte and the last nowhere, so a matcher
+// that retried later placements would be quadratic (worse end-anchored);
+// at 1 MiB each must decide in under 50 ms.
+func TestMatchLinear(t *testing.T) {
+	const size = 1 << 20
+	path := "http://x.com/" + strings.Repeat("a/", size/2)
+	host := "http://" + strings.Repeat("a.", size/2) + "/"
+	for _, c := range []struct{ line, url string }{
+		{"a/*zzz", path},
+		{"||a.*zzz", host},
+		{"a/*a/*zzz|", path},
+	} {
+		p := compile(t, c.line)
+		lower := strings.ToLower(c.url)
+		bounds := appendDomainBoundaries(nil, lower)
+		best := time.Duration(1<<63 - 1)
+		for i := 0; i < 3; i++ {
+			start := time.Now()
+			if p.match(c.url, lower, bounds) {
+				t.Fatalf("%q matched a URL without its last segment", c.line)
+			}
+			best = min(best, time.Since(start))
+		}
+		if best > 50*time.Millisecond {
+			t.Errorf("%q on a %d-byte URL took %v, want under 50ms", c.line, len(c.url), best)
+		}
+	}
+}
+
 func TestDomainBoundaries(t *testing.T) {
-	got := domainBoundaries("http://a.b.example.com/p.q/r")
+	got := appendDomainBoundaries(nil, "http://a.b.example.com/p.q/r")
 	want := []int{7, 9, 11, 19} // after "://", after each dot in host only
 	if len(got) != len(want) {
 		t.Fatalf("boundaries = %v, want %v", got, want)

@@ -22,6 +22,8 @@ func TestNewRequestValidation(t *testing.T) {
 		{"http://", "http://news.example.com/", false},
 		{"/relative/path.js", "http://news.example.com/", false},
 		{"http://bad host/x", "http://news.example.com/", false},
+		{"http://x.com/" + strings.Repeat("a", maxURLBytes-13), "http://news.example.com/", true},
+		{"http://x.com/" + strings.Repeat("a", maxURLBytes-12), "http://news.example.com/", false},
 	}
 	for _, c := range cases {
 		req, err := NewRequest(c.url, c.doc, filter.TypeScript)
@@ -126,7 +128,8 @@ func legacyAccepts(raw string) bool {
 
 // FuzzNewRequestValidation: whatever the fast recogniser accepts, url.Parse
 // accepts with a non-empty host, and NewRequest's accept/reject set is the
-// pre-recogniser rule on every input — so no request changes status code.
+// pre-recogniser rule, plus the maxURLBytes bound, on every input — so no
+// request changes status code.
 func FuzzNewRequestValidation(f *testing.F) {
 	for _, seed := range []string{
 		"http://ads.example.com/banner.js",
@@ -168,6 +171,7 @@ func FuzzNewRequestValidation(f *testing.F) {
 		if plainHTTPURL(raw) && !want {
 			t.Fatalf("recogniser accepts %q, which url.Parse rejects or finds hostless", raw)
 		}
+		want = want && len(raw) <= maxURLBytes
 		_, err := NewRequest(raw, "http://news.example.com/", filter.TypeScript)
 		if got := err == nil; got != want {
 			t.Fatalf("NewRequest(%q) accepted=%v, the parse rule says %v (err: %v)", raw, got, want, err)
